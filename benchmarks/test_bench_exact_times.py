@@ -1,7 +1,7 @@
 """Benchmark exp-s8: exact expected convergence times by linear algebra.
 
 Prints the exact-vs-simulated table (including the Protocol 3 wall out to
-``N = P = 6``: ~2.5e14 expected interactions, solved in milliseconds) and
+``N = P = 6``: ~2.6e14 expected interactions, solved in milliseconds) and
 times the lumped-chain solves.
 """
 

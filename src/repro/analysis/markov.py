@@ -38,17 +38,20 @@ class ExpectedTime:
     expected_interactions: float
 
 
-def _transition_distribution(
+def _transition_draws(
     protocol: PopulationProtocol,
     node: QuotientNode,
     has_leader: bool,
-) -> dict[QuotientNode, float]:
-    """Outgoing one-interaction distribution of the lumped chain.
+) -> tuple[dict[QuotientNode, int], int]:
+    """Outgoing one-interaction draw counts of the lumped chain.
 
     The scheduler draws an ordered pair of distinct agents uniformly:
-    ``A (A - 1)`` equally likely draws for ``A`` agents.  A draw's effect
-    depends only on the states involved, so draws aggregate by state
-    counts.  Null meetings contribute self-loop probability.
+    ``draws = A (A - 1)`` equally likely draws for ``A`` agents.  A
+    draw's effect depends only on the states involved, so draws
+    aggregate by state counts.  Returns ``(weights, draws)``, where
+    ``weights[target]`` is the integer number of draws that move
+    ``node`` to ``target`` (null meetings count towards ``node``
+    itself); the weights sum to ``draws``.
     """
     mobile, leader = node
     counts = Counter(mobile)
@@ -56,7 +59,7 @@ def _transition_distribution(
     total_agents = n_mobile + (1 if has_leader else 0)
     draws = total_agents * (total_agents - 1)
     if draws == 0:
-        return {node: 1.0}
+        return {node: 1}, 1
 
     def moved(remove: tuple, add: tuple) -> tuple:
         updated = counts.copy()
@@ -70,14 +73,14 @@ def _transition_distribution(
             )
         )
 
-    distribution: dict[QuotientNode, float] = {}
+    weights: dict[QuotientNode, int] = {}
 
-    def put(target: QuotientNode, weight: float) -> None:
-        distribution[target] = distribution.get(target, 0.0) + weight
+    def put(target: QuotientNode, weight: int) -> None:
+        weights[target] = weights.get(target, 0) + weight
 
     # Mobile-mobile ordered draws.
     for p, q in permutations(counts, 2):
-        weight = counts[p] * counts[q] / draws
+        weight = counts[p] * counts[q]
         p2, q2 = protocol.transition(p, q)
         if (p2, q2) == (p, q):
             put(node, weight)
@@ -85,7 +88,7 @@ def _transition_distribution(
             put((moved((p, q), (p2, q2)), leader), weight)
     for p, c in counts.items():
         if c >= 2:
-            weight = c * (c - 1) / draws
+            weight = c * (c - 1)
             p2, q2 = protocol.transition(p, p)
             if (p2, q2) == (p, p):
                 put(node, weight)
@@ -96,39 +99,38 @@ def _transition_distribution(
     if has_leader:
         for s, c in counts.items():
             for order in ("leader_first", "mobile_first"):
-                weight = c / draws
                 if order == "leader_first":
                     l2, s2 = protocol.transition(leader, s)
                 else:
                     s2, l2 = protocol.transition(s, leader)
                 if (l2, s2) == (leader, s):
-                    put(node, weight)
+                    put(node, c)
                 else:
-                    put((moved((s,), (s2,)), l2), weight)
-    return distribution
+                    put((moved((s,), (s2,)), l2), c)
+    return weights, draws
 
 
-def expected_convergence_time(
+def _explore(
     protocol: PopulationProtocol,
     initial: Iterable[QuotientNode],
     is_absorbing: Callable[[QuotientNode], bool],
-    max_nodes: int = 20_000,
-) -> dict[QuotientNode, float]:
-    """Exact expected interactions to absorption for every reachable node.
+    max_nodes: int,
+) -> tuple[list[QuotientNode], dict[QuotientNode, int], list[dict], int]:
+    """Breadth-first exploration of the lumped chain from ``initial``.
 
-    ``is_absorbing`` marks the solved classes (e.g. duplicate-free,
-    silent multisets).  Raises :class:`VerificationError` when some
-    reachable node cannot reach an absorbing one (infinite expectation).
+    Returns ``(nodes, index, rows, draws)``: ``rows[i]`` holds node
+    ``i``'s integer draw counts (empty for absorbing nodes) and every
+    row's counts sum to the same ``draws``, since the number of agents
+    never changes.
     """
     initial = list(initial)
     if not initial:
         raise VerificationError("no initial quotient nodes supplied")
     has_leader = protocol.requires_leader
-
-    # Explore the lumped chain.
     nodes: list[QuotientNode] = []
     index: dict[QuotientNode, int] = {}
-    rows: list[dict[QuotientNode, float]] = []
+    rows: list[dict[QuotientNode, int]] = []
+    draws = 1
     queue: deque[QuotientNode] = deque()
     for node in initial:
         if node not in index:
@@ -140,9 +142,9 @@ def expected_convergence_time(
         if is_absorbing(node):
             rows.append({})
             continue
-        distribution = _transition_distribution(protocol, node, has_leader)
-        rows.append(distribution)
-        for target in distribution:
+        weights, draws = _transition_draws(protocol, node, has_leader)
+        rows.append(weights)
+        for target in weights:
             if target not in index:
                 if len(nodes) >= max_nodes:
                     raise VerificationError(
@@ -151,23 +153,104 @@ def expected_convergence_time(
                 index[target] = len(nodes)
                 nodes.append(target)
                 queue.append(target)
+    return nodes, index, rows, draws
 
+
+#: Most refinement steps :func:`_solve_refined` takes.
+MAX_REFINEMENTS = 16
+
+
+def _solve_refined(
+    system: numpy.ndarray,
+    sparse: list[list[tuple[int, int]]],
+    rhs: list[int],
+) -> numpy.ndarray:
+    """Solve an integer linear system to full float64 accuracy.
+
+    ``system`` is the dense float64 copy of the integer matrix whose
+    rows ``sparse`` lists as ``(column, value)`` pairs, and ``rhs`` is
+    an integer vector.  The callers scale ``I - Q`` by the number of
+    draws, so every entry is a small integer that float64 holds
+    exactly.  A float64 LU solve still loses about ``cond(system) *
+    eps`` relative accuracy (cond reaches ~1e10 on Protocol 3's chain at
+    N = P = 5), so the solution is refined: each step computes the
+    residual ``rhs - system @ x`` exactly, in integers, solves for a
+    correction, and stops once the correction stops shrinking.  Raises
+    ``numpy.linalg.LinAlgError`` when the system is singular.
+    """
+    solution = numpy.linalg.solve(system, numpy.array(rhs, dtype=float))
+    previous = numpy.inf
+    for _ in range(MAX_REFINEMENTS):
+        if not numpy.all(numpy.isfinite(solution)):
+            break  # numerically singular: the callers reject it
+        ratios = [value.as_integer_ratio() for value in solution.tolist()]
+        scale = max(den for _, den in ratios)
+        scaled = [num * (scale // den) for num, den in ratios]
+        residual = [
+            (b * scale - sum(w * scaled[j] for j, w in row)) / scale
+            for row, b in zip(sparse, rhs)
+        ]
+        correction = numpy.linalg.solve(system, numpy.array(residual))
+        size = float(numpy.max(numpy.abs(correction)))
+        if not size < previous:
+            break
+        solution = solution + correction
+        previous = size
+    return solution
+
+
+def _scaled_system(
+    rows: list[dict],
+    index: dict[QuotientNode, int],
+    unknowns: list[int],
+    draws: int,
+) -> tuple[numpy.ndarray, list[list[tuple[int, int]]], dict[int, int]]:
+    """``draws * (I - Q)`` restricted to ``unknowns``, in integers.
+
+    Returns the dense float64 matrix, the same rows as sparse
+    ``(column, value)`` lists, and the unknowns' positions.
+    """
+    position = {i: k for k, i in enumerate(unknowns)}
+    sparse: list[list[tuple[int, int]]] = []
+    for i in unknowns:
+        row = {position[i]: draws}
+        for target, weight in rows[i].items():
+            k = position.get(index[target])
+            if k is not None:
+                row[k] = row.get(k, 0) - weight
+        sparse.append(list(row.items()))
+    system = numpy.zeros((len(unknowns), len(unknowns)))
+    for k, row in enumerate(sparse):
+        for j, value in row:
+            system[k, j] = value
+    return system, sparse, position
+
+
+def expected_convergence_time(
+    protocol: PopulationProtocol,
+    initial: Iterable[QuotientNode],
+    is_absorbing: Callable[[QuotientNode], bool],
+    max_nodes: int = 20_000,
+) -> dict[QuotientNode, float]:
+    """Exact expected interactions to absorption for every reachable node.
+
+    ``is_absorbing`` marks the solved classes (e.g. duplicate-free,
+    silent multisets).  Solves ``draws * (I - Q) t = draws * 1``, whose
+    entries are integers, with exact-residual refinement (see
+    :func:`_solve_refined`), so the answer is exact to float64 precision
+    however ill-conditioned the chain.  Raises
+    :class:`VerificationError` when some reachable node cannot reach an
+    absorbing one (infinite expectation).
+    """
+    nodes, index, rows, draws = _explore(
+        protocol, initial, is_absorbing, max_nodes
+    )
     transient = [i for i, node in enumerate(nodes) if not is_absorbing(node)]
     if not transient:
         return {node: 0.0 for node in nodes}
-    position = {i: k for k, i in enumerate(transient)}
-    size = len(transient)
-    q_matrix = numpy.zeros((size, size))
-    for i in transient:
-        for target, weight in rows[i].items():
-            j = index[target]
-            if j in position:
-                q_matrix[position[i], position[j]] = (
-                    q_matrix[position[i], position[j]] + weight
-                )
-    system = numpy.eye(size) - q_matrix
+    system, sparse, position = _scaled_system(rows, index, transient, draws)
     try:
-        times = numpy.linalg.solve(system, numpy.ones(size))
+        times = _solve_refined(system, sparse, [draws] * len(transient))
     except numpy.linalg.LinAlgError as exc:
         raise VerificationError(
             "the chain has unreachable absorption (infinite expected "
@@ -201,39 +284,13 @@ def absorption_probability(
     lumped graph that contain no absorbing node) can never absorb, so
     their probability is 0; removing them leaves a substochastic system
     ``(I - Q') p = r`` with a unique solution - the minimal non-negative
-    one, i.e. the true probabilities.
+    one, i.e. the true probabilities.  It is solved scaled by the number
+    of draws, with exact-residual refinement, like
+    :func:`expected_convergence_time`.
     """
-    initial = list(initial)
-    if not initial:
-        raise VerificationError("no initial quotient nodes supplied")
-    has_leader = protocol.requires_leader
-
-    nodes: list[QuotientNode] = []
-    index: dict[QuotientNode, int] = {}
-    rows: list[dict[QuotientNode, float]] = []
-    queue: deque[QuotientNode] = deque()
-    for node in initial:
-        if node not in index:
-            index[node] = len(nodes)
-            nodes.append(node)
-            queue.append(node)
-    while queue:
-        node = queue.popleft()
-        if is_absorbing(node):
-            rows.append({})
-            continue
-        distribution = _transition_distribution(protocol, node, has_leader)
-        rows.append(distribution)
-        for target in distribution:
-            if target not in index:
-                if len(nodes) >= max_nodes:
-                    raise VerificationError(
-                        f"lumped chain exceeded {max_nodes} nodes"
-                    )
-                index[target] = len(nodes)
-                nodes.append(target)
-                queue.append(target)
-
+    nodes, index, rows, draws = _explore(
+        protocol, initial, is_absorbing, max_nodes
+    )
     result = {
         node: (1.0 if is_absorbing(node) else 0.0) for node in nodes
     }
@@ -266,20 +323,12 @@ def absorption_probability(
     ]
     if not solvable:
         return result
-    position = {i: k for k, i in enumerate(solvable)}
-    size = len(solvable)
-    q_matrix = numpy.zeros((size, size))
-    into_absorbing = numpy.zeros(size)
-    for i in solvable:
-        for target, weight in rows[i].items():
-            j = index[target]
-            if j in position:
-                q_matrix[position[i], position[j]] += weight
-            elif is_absorbing(target):
-                into_absorbing[position[i]] += weight
-            # weight into doomed nodes contributes nothing.
-    system = numpy.eye(size) - q_matrix
-    solution = numpy.linalg.solve(system, into_absorbing)
+    system, sparse, position = _scaled_system(rows, index, solvable, draws)
+    into_absorbing = [
+        sum(w for target, w in rows[i].items() if is_absorbing(target))
+        for i in solvable
+    ]  # weight into doomed nodes contributes nothing
+    solution = _solve_refined(system, sparse, into_absorbing)
     probabilities = numpy.clip(solution, 0.0, 1.0)
     for i in solvable:
         result[nodes[i]] = float(probabilities[position[i]])

@@ -167,12 +167,8 @@ class _CountsPlan:
         pj: list[int] = []
         ri: list[int] = []
         rj: list[int] = []
-        closed = True
-        delta = table.delta
-        for i in range(n):
-            row = i * n
-            for j in range(n):
-                hit = delta[row + j]
+        for i, row in enumerate(table.rows):
+            for j, hit in enumerate(row):
                 if hit is None:
                     continue
                 i2, j2 = hit
@@ -180,13 +176,9 @@ class _CountsPlan:
                 pj.append(j)
                 ri.append(i2)
                 rj.append(j2)
-                if (i < n_mobile) != (i2 < n_mobile) or (j < n_mobile) != (
-                    j2 < n_mobile
-                ):
-                    closed = False
         self.n_states = n
         self.n_mobile = n_mobile
-        self.closed = closed
+        self.closed = table.closed
         # One tuple per non-null pair for the Python hot loop:
         # (i, j, i2, j2, [i = j]) - a single index + unpack per event.
         self.quads = [

@@ -13,10 +13,17 @@ running an order of magnitude faster:
 
 * agent states live in a mutable list of small integers, interned through
   a per-protocol state <-> index table;
-* the transition function is compiled once per protocol into a flat
-  ``delta`` array mapping ``(state_idx, state_idx)`` to either ``None``
-  (null interaction) or the resulting index pair - no Python-level rule
-  dispatch in the hot loop;
+* the transition function is compiled into one list per state:
+  ``rows[i][j]`` is either ``None`` (null interaction) or the resulting
+  index pair - no Python-level rule dispatch in the hot loop.  A protocol
+  whose whole declared state space fits :data:`DEFAULT_COMPILE_LIMIT`
+  compiles eagerly into a :class:`TransitionTable`, the table the counts,
+  batch and leap backends plan from.  A protocol whose mobile space fits
+  but whose declared leader space does not - Protocols 1-3, whose base
+  station walks a pointer along a universal sequence of length
+  ``2^P - 1`` - gets a :class:`LazyTransitionTable`: its mobile x mobile
+  rows compile up front, and a leader state's row and column compile the
+  first time a run's leader enters that state;
 * scheduler proposals are drawn in batches aligned to the convergence
   check interval (see :meth:`Scheduler.next_pairs`), with a random stream
   identical to one-at-a-time sampling;
@@ -25,9 +32,10 @@ running an order of magnitude faster:
   certificate is O(distinct states squared) instead of O(N).
 
 The backend falls back gracefully to the reference simulator whenever the
-fast path cannot guarantee identical semantics: unhashable or unbounded
-state spaces, configuration-inspecting (adversarial) schedulers, fault
-hooks, or initial states outside the declared space.
+fast path cannot guarantee identical semantics: unhashable or
+unenumerable state spaces, mobile state spaces over the compile limit,
+configuration-inspecting (adversarial) schedulers, fault hooks, or
+initial states outside the declared space.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import time
 import warnings
 import weakref
 from collections import OrderedDict
+from itertools import compress
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
@@ -50,6 +59,7 @@ from repro.engine.simulator import (
     SimulationResult,
     Simulator,
 )
+from repro.engine.state import sort_key
 from repro.engine.trace import InteractionRecord, Trace
 from repro.errors import (
     BackendFallbackWarning,
@@ -59,21 +69,32 @@ from repro.errors import (
 )
 from repro.schedulers.base import Scheduler
 
-#: Largest combined state-space size eagerly compiled into a transition
-#: table.  Above this the quadratic compile cost would dominate short runs,
-#: so the backend falls back to the reference simulator instead.
+#: Largest state space compiled up front.  It gates the eager
+#: :class:`TransitionTable` (mobile and leader spaces together) and the
+#: mobile space of a :class:`LazyTransitionTable`, whose mobile x mobile
+#: rows compile eagerly; leader rows beyond it compile on first visit.
+#: Above it the quadratic compile cost would dominate short runs, so a
+#: protocol whose mobile space alone exceeds it falls back to the
+#: reference simulator.
 DEFAULT_COMPILE_LIMIT = 512
+
+#: Entry of a :class:`LazyTransitionTable` that is not compiled yet; the
+#: fast hot loop resolves it on first lookup.
+_PENDING = object()
 
 
 class TransitionTable:
     """A protocol's transition function, compiled to integer indices.
 
     States are interned into ``states`` (index -> state) and ``index``
-    (state -> index).  ``delta`` is a flat row-major array of size
-    ``n_states ** 2``: entry ``i * n_states + j`` is ``None`` when
-    ``transition(states[i], states[j])`` is null, else the pair
-    ``(i', j')`` of result indices.  Pairs of two leader-only states are
-    never scheduled (a population has one leader) and are left null.
+    (state -> index), mobile states first.  ``delta`` is a flat row-major
+    array of size ``n_states ** 2``: entry ``i * n_states + j`` is
+    ``None`` when ``transition(states[i], states[j])`` is null, else the
+    pair ``(i', j')`` of result indices.  ``rows`` holds the same entries
+    as one list per state, ``rows[i][j]``, the layout the fast hot loop
+    reads.  Pairs of two leader-only states are left null: a population
+    has one leader, so they are never scheduled while every rule keeps
+    each position's mobile/leader role, which ``closed`` records.
 
     ``fingerprint`` is a content hash over the canonical state ordering
     and the non-null delta entries (see :func:`table_fingerprint`): two
@@ -83,8 +104,8 @@ class TransitionTable:
     """
 
     __slots__ = (
-        "states", "index", "n_states", "delta", "mobile_indices",
-        "fingerprint",
+        "states", "index", "n_states", "delta", "rows", "mobile_indices",
+        "closed", "fingerprint",
     )
 
     def __init__(
@@ -125,11 +146,14 @@ class TransitionTable:
         delta: list[tuple[int, int] | None],
         fingerprint: str | None,
     ) -> None:
+        n = len(states)
         self.states = states
-        self.n_states = len(states)
+        self.n_states = n
         self.index = {s: i for i, s in enumerate(states)}
         self.mobile_indices = frozenset(range(n_mobile))
         self.delta = delta
+        self.rows = [delta[i * n : (i + 1) * n] for i in range(n)]
+        self.closed = _role_closed(self.rows, n_mobile)
         self.fingerprint = (
             fingerprint
             if fingerprint is not None
@@ -148,9 +172,119 @@ class TransitionTable:
             ),
         )
 
+    def intern(self, state) -> int:
+        """The index of ``state``; ``KeyError`` outside the declared space."""
+        return self.index[state]
+
+    def resolve(self, i: int, j: int) -> tuple[int, int] | None:
+        """The entry for the interned pair ``(i, j)``, compiled if pending."""
+        return self.rows[i][j]
+
     def is_null_idx(self, i: int, j: int) -> bool:
         """Whether the interned pair ``(i, j)`` is a null interaction."""
-        return self.delta[i * self.n_states + j] is None
+        return self.resolve(i, j) is None
+
+
+class LazyTransitionTable(TransitionTable):
+    """A transition table whose leader rows compile on first visit.
+
+    Serves protocols whose mobile space fits the compile limit but whose
+    declared leader space does not, and protocols whose rules move a
+    state across the mobile/leader role boundary (which an eager table
+    leaves unresolved).  The mobile states are interned, and their
+    mobile x mobile entries compiled, up front.  Any other state is
+    interned by :meth:`intern` when a run first reaches it (the leader's
+    start state, or the result of a compiled entry); its row and column
+    start as pending entries that :meth:`resolve` compiles on first
+    lookup.  A leader-only row spans only the mobile columns while
+    ``closed`` holds; once a rule is seen to move a state across the
+    role boundary every row spans every state, so the leader-only pairs
+    that such a run can schedule resolve on demand too.
+
+    A lazy table belongs to one protocol instance and never leaves the
+    fast backend: it has no ``delta`` and no ``fingerprint``, and
+    :func:`compile_table` still returns ``None`` for these protocols, so
+    no plan or cache key is ever derived from a partial table.
+    """
+
+    __slots__ = ("protocol",)
+
+    def __init__(
+        self, protocol: PopulationProtocol, mobile_states: frozenset
+    ) -> None:
+        mobile = sorted(mobile_states, key=sort_key)
+        n = len(mobile)
+        self.protocol = protocol
+        self.states = mobile
+        self.n_states = n
+        self.index = {s: i for i, s in enumerate(mobile)}
+        self.mobile_indices = frozenset(range(n))
+        self.delta = None
+        self.fingerprint = None
+        self.closed = True
+        self.rows = [[_PENDING] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                self.resolve(i, j)
+
+    def intern(self, state) -> int:
+        """The index of ``state``, interning it when it is new."""
+        idx = self.index.get(state)
+        if idx is None:
+            idx = self.n_states
+            self.states.append(state)
+            self.index[state] = idx
+            self.n_states = idx + 1
+            rows = self.rows
+            if self.closed:
+                # Mobile rows span every state; leader-only rows only
+                # the mobile columns.
+                n_mobile = len(self.mobile_indices)
+                for row in rows[:n_mobile]:
+                    row.append(_PENDING)
+                rows.append([_PENDING] * n_mobile)
+            else:
+                for row in rows:
+                    row.append(_PENDING)
+                rows.append([_PENDING] * (idx + 1))
+        return idx
+
+    def resolve(self, i: int, j: int) -> tuple[int, int] | None:
+        """Compile the entry for ``(i, j)``, store and return it."""
+        p = self.states[i]
+        q = self.states[j]
+        p2, q2 = self.protocol.transition(p, q)
+        hit = None
+        if (p2, q2) != (p, q):
+            hit = (self.intern(p2), self.intern(q2))
+            n_mobile = len(self.mobile_indices)
+            if self.closed and (
+                (hit[0] < n_mobile) != (i < n_mobile)
+                or (hit[1] < n_mobile) != (j < n_mobile)
+            ):
+                # A mobile agent may now hold a leader-only state: widen
+                # the leader-only rows to every column.
+                self.closed = False
+                for row in self.rows[n_mobile:]:
+                    row.extend([_PENDING] * (self.n_states - len(row)))
+        self.rows[i][j] = hit
+        return hit
+
+
+def _role_closed(rows: list[list], n_mobile: int) -> bool:
+    """Whether every non-null entry keeps each position's role.
+
+    A rule that maps a mobile state to a leader-only one (or back) lets
+    a mobile agent reach a leader-only state, after which the leader-only
+    pairs an eager table leaves null become schedulable.
+    """
+    for i, row in enumerate(rows):
+        mobile_i = i < n_mobile
+        for j in compress(range(len(row)), row):  # the non-null entries
+            i2, j2 = row[j]
+            if (i2 < n_mobile) != mobile_i or (j2 < n_mobile) != (j < n_mobile):
+                return False
+    return True
 
 
 def _enumerate_delta(
@@ -166,8 +300,6 @@ def _enumerate_delta(
     array described on :class:`TransitionTable`.  This is the only place
     the transition function is called during compilation.
     """
-    from repro.engine.state import sort_key
-
     mobile = sorted(mobile_states, key=sort_key)
     leader_only = sorted(leader_states - mobile_states, key=sort_key)
     states: list = mobile + leader_only
@@ -201,8 +333,6 @@ def _fingerprint_parts(
     instances with equal state spaces and equal transition functions
     fingerprint identically and therefore share compiled artifacts.
     """
-    from repro.engine.state import sort_key
-
     h = hashlib.sha256()
     h.update(f"repro-table-v1|{n_mobile}|{len(states)}".encode())
     for s in states:
@@ -214,14 +344,16 @@ def _fingerprint_parts(
     return h.hexdigest()
 
 
-#: Most compiled tables kept alive by the fingerprint-keyed LRU below.
+#: Most compiled tables kept alive by the LRU below.
 TABLE_CACHE_SIZE = 128
 
-#: Compiled tables keyed by content fingerprint: two *equal* protocol
-#: instances (same state space, same transition function) share one
-#: table, where the previous identity-keyed WeakKeyDictionary recompiled
-#: per instance.  Bounded LRU so long-lived serving processes cannot
-#: accumulate unboundedly many tables.
+#: Compiled tables.  Eager tables are keyed by content fingerprint: two
+#: *equal* protocol instances (same state space, same transition
+#: function) share one table, where the previous identity-keyed
+#: WeakKeyDictionary recompiled per instance.  A lazy table is keyed by
+#: the identity of the one instance it compiles (see :func:`_fast_table`).
+#: Bounded LRU so long-lived serving processes cannot accumulate
+#: unboundedly many tables.
 _TABLE_CACHE: "OrderedDict[str, TransitionTable]" = OrderedDict()
 
 #: Weak instance -> fingerprint map: makes the second ``compile_table``
@@ -230,10 +362,10 @@ _FINGERPRINTS: "weakref.WeakKeyDictionary[PopulationProtocol, str]"
 _FINGERPRINTS = weakref.WeakKeyDictionary()
 
 
-def _remember_table(table: TransitionTable) -> None:
+def _remember(key: str, table: TransitionTable) -> None:
     """Insert ``table`` into the LRU, evicting the oldest beyond the cap."""
-    _TABLE_CACHE[table.fingerprint] = table
-    _TABLE_CACHE.move_to_end(table.fingerprint)
+    _TABLE_CACHE[key] = table
+    _TABLE_CACHE.move_to_end(key)
     while len(_TABLE_CACHE) > TABLE_CACHE_SIZE:
         _TABLE_CACHE.popitem(last=False)
 
@@ -247,7 +379,7 @@ def seed_compiled_table(table: TransitionTable) -> None:
     fingerprint returns the injected table without enumerating
     transitions into a fresh object.
     """
-    _remember_table(table)
+    _remember(table.fingerprint, table)
 
 
 def table_fingerprint(
@@ -297,7 +429,9 @@ def compile_table(
 
     Returns ``None`` when the protocol cannot be compiled: its state space
     is unhashable, unenumerable, raises, or exceeds ``compile_limit``
-    states.  Callers treat ``None`` as "use the reference simulator".
+    states.  Callers treat ``None`` as "no eager table"; the fast backend
+    then compiles a :class:`LazyTransitionTable` when the mobile space
+    fits, and every other backend delegates down the ladder.
 
     The cache is keyed by content fingerprint, not object identity: two
     equal protocol instances (same states, same transitions) share one
@@ -336,11 +470,41 @@ def compile_table(
         table = TransitionTable.from_parts(
             states, n_mobile, delta, fingerprint
         )
-    _remember_table(table)
+    _remember(fingerprint, table)
     try:
         _FINGERPRINTS[protocol] = fingerprint
     except TypeError:
         pass
+    return table
+
+
+def _fast_table(
+    protocol: PopulationProtocol, compile_limit: int
+) -> TransitionTable | None:
+    """The table the fast backend runs ``protocol`` on, or ``None``.
+
+    The eager table when it compiles and every rule keeps each
+    position's role; otherwise the protocol's cached (or a new) lazy
+    table, when its mobile space fits ``compile_limit``.
+    """
+    table = compile_table(protocol, compile_limit)
+    if table is not None and table.closed:
+        return table
+    # Identity-keyed: a partial table cannot prove two transition
+    # functions equal, so lazy tables are never shared between instances.
+    # The table holds its protocol, so no other live object can carry the
+    # same id while the entry is cached.
+    key = f"lazy-{id(protocol):x}"
+    table = _TABLE_CACHE.get(key)
+    if table is None:
+        try:
+            mobile = frozenset(protocol.mobile_state_space())
+            if len(mobile) > compile_limit:
+                return None
+            table = LazyTransitionTable(protocol, mobile)
+        except Exception:
+            return None
+    _remember(key, table)
     return table
 
 
@@ -360,8 +524,9 @@ class FastSimulator:
     protocol, population, scheduler, problem, check_interval:
         As for :class:`Simulator`.
     compile_limit:
-        Largest state-space size eagerly compiled; larger protocols fall
-        back to the reference loop.
+        Largest state space compiled up front (see
+        :data:`DEFAULT_COMPILE_LIMIT`); protocols whose mobile space
+        exceeds it fall back to the reference loop.
     sanitize:
         Arm the runtime sanitizer (see :mod:`repro.engine.sanitize`):
         the fast path checks its counts multiset, interned index ranges
@@ -392,13 +557,13 @@ class FastSimulator:
         self.problem = problem
         self.check_interval = self._reference.check_interval
         self.sanitize = sanitize
-        self._table = compile_table(protocol, compile_limit)
+        self._table = _fast_table(protocol, compile_limit)
         #: Whether the most recent :meth:`run` used the fast path.
         self.last_run_fast = False
 
     @property
     def compiled(self) -> bool:
-        """Whether the protocol compiled to a transition table."""
+        """Whether the protocol compiled to a (possibly lazy) table."""
         return self._table is not None
 
     # ------------------------------------------------------------------
@@ -451,7 +616,12 @@ class FastSimulator:
                 f"initial configuration has {len(initial)} agents, "
                 f"population has {self.population.size}"
             )
+        leader_agent = initial.leader_index
         try:
+            # A lazy table interns the leader's state on first visit;
+            # every other state must already be in the table.
+            if leader_agent is not None:
+                table.intern(initial.states[leader_agent])
             state_idx = [table.index[s] for s in initial.states]
         except (KeyError, TypeError):
             # States outside the declared space (or unhashable): the
@@ -470,7 +640,6 @@ class FastSimulator:
                 raise_on_timeout=raise_on_timeout,
                 observer=observer,
             )
-        leader_agent = initial.leader_index
         mobile_indices = table.mobile_indices
         if any(
             idx not in mobile_indices
@@ -515,13 +684,18 @@ class FastSimulator:
         raise_on_timeout: bool,
         observer: Observer | None,
     ) -> SimulationResult:
-        """The array-based hot loop; assumes all fast-path preconditions."""
+        """The array-based hot loop; assumes all fast-path preconditions.
+
+        Serves eager and lazy tables alike: a lookup that lands on a
+        pending lazy entry compiles it through :meth:`resolve`, which
+        can intern new states.
+        """
         started = time.perf_counter()
         table = self._table
         assert table is not None
-        nst = table.n_states
-        delta = table.delta
+        rows = table.rows
         objs = table.states
+        pending = _PENDING
         problem = self.problem
         protocol = self.protocol
         scheduler = self.scheduler
@@ -529,7 +703,7 @@ class FastSimulator:
 
         # Incremental mobile-state multiset: counts per interned index and
         # the number of duplicated states (names_distinct <=> dup == 0).
-        counts = [0] * nst
+        counts = [0] * table.n_states
         dup = 0
         for agent, idx in enumerate(state_idx):
             if agent != leader_agent:
@@ -552,6 +726,19 @@ class FastSimulator:
                 tuple(objs[i] for i in state_idx), leader_agent
             )
 
+        def resolve(i: int, j: int) -> tuple[int, int] | None:
+            """Compile a pending entry; ``counts`` grows with the table."""
+            hit = table.resolve(i, j)
+            counts.extend([0] * (table.n_states - len(counts)))
+            return hit
+
+        def is_null(i: int, j: int) -> bool:
+            """Whether ``(i, j)`` is null, resolving a pending entry."""
+            hit = rows[i][j]
+            if hit is pending:
+                hit = resolve(i, j)
+            return hit is None
+
         def silent() -> bool:
             """Incremental mirror of :func:`repro.engine.problems.is_silent`."""
             merged: dict[int, int] = {}
@@ -562,13 +749,10 @@ class FastSimulator:
                 merged[leader_idx] = merged.get(leader_idx, 0) + 1
             present = list(merged)
             for a, s in enumerate(present):
-                if merged[s] >= 2 and delta[s * nst + s] is not None:
+                if merged[s] >= 2 and not is_null(s, s):
                     return False
                 for t in present[a + 1 :]:
-                    if (
-                        delta[s * nst + t] is not None
-                        or delta[t * nst + s] is not None
-                    ):
+                    if not is_null(s, t) or not is_null(t, s):
                         return False
             return True
 
@@ -585,6 +769,26 @@ class FastSimulator:
             n_mobile_agents = self.population.size - (
                 1 if leader_agent is not None else 0
             )
+            # An eager table holds declared states only; a lazy one
+            # interns whatever leader state a rule returns, so the leader
+            # is checked against the declared space, as the reference
+            # sanitizer does.
+            leader_space = (
+                protocol.leader_state_space()
+                if leader_agent is not None
+                and isinstance(table, LazyTransitionTable)
+                else None
+            )
+
+            def check_leader(interaction: int) -> None:
+                """Raise unless the leader holds a declared leader state."""
+                if leader_space is not None:
+                    _sanitize.check_states_in_space(
+                        "fast", (objs[leader_idx],), 0, frozenset(),
+                        leader_space, interaction,
+                    )
+
+            check_leader(0)
 
         non_null = 0
         converged_at: int | None = None
@@ -604,15 +808,19 @@ class FastSimulator:
                 # Hot loop: no trace, no observer - nothing needs the
                 # per-interaction index, so it advances by whole batches.
                 for a, b in pairs:
-                    hit = delta[state_idx[a] * nst + state_idx[b]]
+                    hit = rows[state_idx[a]][state_idx[b]]
                     if hit is None:
                         continue
+                    i = state_idx[a]
+                    j = state_idx[b]
+                    if hit is pending:
+                        hit = resolve(i, j)
+                        if hit is None:
+                            continue
                     if a == b:
                         raise ConfigurationError(
                             "an agent cannot interact with itself"
                         )
-                    i = state_idx[a]
-                    j = state_idx[b]
                     i2, j2 = hit
                     state_idx[a] = i2
                     state_idx[b] = j2
@@ -641,7 +849,9 @@ class FastSimulator:
                 for a, b in pairs:
                     i = state_idx[a]
                     j = state_idx[b]
-                    hit = delta[i * nst + j]
+                    hit = rows[i][j]
+                    if hit is pending:
+                        hit = resolve(i, j)
                     if hit is not None:
                         if a == b:
                             raise ConfigurationError(
@@ -699,11 +909,12 @@ class FastSimulator:
                 _sanitize.check_index_vector(
                     "fast",
                     state_idx,
-                    nst,
+                    table.n_states,
                     table.mobile_indices,
                     leader_agent,
                     interaction,
                 )
+                check_leader(interaction)
                 if non_null != sanitize_non_null:
                     tracker.note_change(interaction)
                     sanitize_non_null = non_null

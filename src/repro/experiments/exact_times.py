@@ -8,7 +8,7 @@ Simulation estimates expectations with variance and a budget; the lumped
    must sit inside the simulated means' confidence band, and
 2. pushes where simulation cannot go: Protocol 3's ``N = P`` sweep
    expectation is ~3.0e5 interactions at ``P = 4``, ~2.0e9 at ``P = 5``
-   and ~2.5e14 at ``P = 6`` - the super-exponential wall in exact
+   and ~2.6e14 at ``P = 6`` - the super-exponential wall in exact
    numbers, each computed in well under a second.
 
 ``python -m repro.experiments.exact_times`` prints the table.

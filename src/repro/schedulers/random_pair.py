@@ -45,22 +45,36 @@ class RandomPairScheduler(Scheduler):
     ) -> list[tuple[AgentId, AgentId]]:
         """Batched sampling with the same random stream as ``next_pair``.
 
-        For populations larger than ``random.sample``'s pool-swap cutoff
-        (21 elements at ``k = 2``) the stdlib draws two rejection-sampled
-        indices via ``getrandbits``; that arithmetic is inlined here to
-        skip two method-call layers per pair while consuming the Mersenne
-        stream bit-for-bit identically (property-tested against
-        ``next_pair``).  Small populations just loop the scalar path.
+        ``random.sample(agents, 2)`` draws both indices by rejection on
+        ``getrandbits``.  Its two branches are inlined here, which skips
+        its method-call layers per pair while consuming the Mersenne
+        stream bit-for-bit identically (tested against ``next_pair`` for
+        every population up to 22 agents).  The first index is drawn
+        below ``n``.  Up to the pool-swap cutoff (21 agents at ``k = 2``)
+        the second is drawn below ``n - 1``, and a draw equal to the
+        first names the last agent, which the pool swap moved into the
+        first pick's slot.  Above the cutoff the second is redrawn below
+        ``n`` until it differs from the first.
         """
         agents = self._agents
         n = len(agents)
-        if n <= 21:  # random.sample uses its pool-swap branch here
-            sample = self._rng.sample
-            return [tuple(sample(agents, 2)) for _ in range(count)]
         getrandbits = self._rng.getrandbits
         k = n.bit_length()
         pairs: list[tuple[AgentId, AgentId]] = []
         append = pairs.append
+        if n <= 21:  # random.sample's pool-swap branch
+            m = n - 1
+            km = m.bit_length()
+            last = agents[m]
+            for _ in range(count):
+                i = getrandbits(k)
+                while i >= n:
+                    i = getrandbits(k)
+                j = getrandbits(km)
+                while j >= m:
+                    j = getrandbits(km)
+                append((agents[i], last if j == i else agents[j]))
+            return pairs
         for _ in range(count):
             i = getrandbits(k)
             while i >= n:

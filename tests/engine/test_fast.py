@@ -9,14 +9,19 @@ table protocols, traces, observers and parallel ensembles.
 """
 
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.asymmetric import AsymmetricNamingProtocol
+from repro.core.counting import CountingProtocol
 from repro.core.global_naming import GlobalNamingProtocol
-from repro.core.selfstab_naming import SelfStabilizingNamingProtocol
+from repro.core.selfstab_naming import (
+    SelfStabilizingNamingProtocol,
+    SelfStabLeaderState,
+)
 from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.configuration import Configuration
 from repro.engine.counts import CountSimulator
@@ -24,6 +29,7 @@ from repro.engine.ensemble import run_ensemble
 from repro.engine.fast import (
     BACKENDS,
     FastSimulator,
+    LazyTransitionTable,
     compile_table,
     make_simulator,
     table_fingerprint,
@@ -197,18 +203,23 @@ class TestBatchSamplingStreamIdentity:
         batched = b.next_pairs(None, 500)
         assert scalar == batched
 
-    @pytest.mark.parametrize("n", [5, 40])
-    def test_interleaved_batches_continue_the_stream(self, n):
-        population = Population(n)
-        a = RandomPairScheduler(population, seed=29)
-        b = RandomPairScheduler(population, seed=29)
-        scalar = [a.next_pair(None) for _ in range(120)]
+    @pytest.mark.parametrize("has_leader", [False, True])
+    @pytest.mark.parametrize("n", [*range(2, 23), 40])
+    def test_interleaved_batches_continue_the_stream(self, n, has_leader):
+        # Every size up to one past random.sample's pool-swap cutoff
+        # (21 agents), so each inlined branch is pinned to the stdlib on
+        # whichever Python runs the suite.
+        population = Population(n, has_leader)
+        a = RandomPairScheduler(population, seed=29 + n)
+        b = RandomPairScheduler(population, seed=29 + n)
+        scalar = [a.next_pair(None) for _ in range(320)]
         batched = (
-            b.next_pairs(None, 50)
+            b.next_pairs(None, 150)
             + [b.next_pair(None)]
-            + b.next_pairs(None, 69)
+            + b.next_pairs(None, 169)
         )
         assert scalar == batched
+        assert a._rng.getstate() == b._rng.getstate()
 
     def test_default_next_pairs_delegates_to_next_pair(self):
         class Fixed(Scheduler):
@@ -219,6 +230,263 @@ class TestBatchSamplingStreamIdentity:
 
         scheduler = Fixed(Population(2))
         assert scheduler.next_pairs(None, 3) == [(0, 1)] * 3
+
+
+def _run_pair(protocol, population, initial, seed, budget, problem):
+    """Run ``reference`` and ``fast`` from ``initial``.
+
+    Returns both results and the fast simulator.
+    """
+    results = {}
+    for backend in ("reference", "fast"):
+        scheduler = RandomPairScheduler(population, seed=seed)
+        simulator = make_simulator(
+            backend, protocol, population, scheduler, problem
+        )
+        results[backend] = simulator.run(initial, max_interactions=budget)
+    return results["reference"], results["fast"], simulator
+
+
+#: The leader protocols whose declared leader space exceeds the compile
+#: limit at P = 9 (Protocol 1, and Protocols 2 and 3 of Props. 16/17).
+LAZY_PROTOCOLS = (
+    CountingProtocol(9),
+    SelfStabilizingNamingProtocol(9),
+    GlobalNamingProtocol(9),
+)
+
+
+class TestLazyLeaderRows:
+    """Leader protocols over the compile limit run on lazy tables."""
+
+    @pytest.mark.parametrize(
+        "protocol", LAZY_PROTOCOLS, ids=lambda p: type(p).__name__
+    )
+    def test_no_eager_table_or_fingerprint(self, protocol):
+        assert compile_table(protocol) is None
+        assert table_fingerprint(protocol) is None
+
+    @pytest.mark.parametrize(
+        "protocol", LAZY_PROTOCOLS, ids=lambda p: type(p).__name__
+    )
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_size_below_the_bound_matches_reference(self, protocol, n):
+        for seed in range(3):
+            population = Population(n, has_leader=True)
+            initial = _initial_for(protocol, population, seed)
+            ref, fast, simulator = _run_pair(
+                protocol, population, initial, seed, 200_000, NamingProblem()
+            )
+            assert simulator.last_run_fast
+            assert isinstance(simulator._table, LazyTransitionTable)
+            assert ref == fast
+            assert ref.converged
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unfinished_sweep_matches_reference(self, seed):
+        # Protocol 3 at N = P: the ordered sweep does not finish within
+        # the budget, but both engines must spend it identically.
+        protocol = GlobalNamingProtocol(5)
+        population = Population(5, has_leader=True)
+        initial = _initial_for(protocol, population, seed)
+        ref, fast, simulator = _run_pair(
+            protocol, population, initial, seed, 50_000, NamingProblem()
+        )
+        assert simulator.last_run_fast
+        assert ref == fast
+        assert not ref.converged
+        assert ref.interactions == 50_000
+
+    def test_arbitrary_leader_starts_match_reference(self):
+        protocol = SelfStabilizingNamingProtocol(9)
+        k_max = protocol.leader_space_size() // (protocol.bound + 2) - 1
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, protocol.bound)
+            leader = SelfStabLeaderState(
+                rng.randint(0, protocol.bound + 1), rng.randint(0, k_max)
+            )
+            population = Population(n, has_leader=True)
+            initial = Configuration.from_states(
+                population,
+                [rng.randint(0, protocol.bound) for _ in range(n)],
+                leader,
+            )
+            ref, fast, simulator = _run_pair(
+                protocol, population, initial, seed, 500_000, NamingProblem()
+            )
+            assert simulator.last_run_fast
+            assert ref == fast
+            assert ref.converged
+
+    def test_trace_observer_and_sanitizer_match_reference(self):
+        protocol = SelfStabilizingNamingProtocol(9)
+        population = Population(7, has_leader=True)
+        initial = _initial_for(protocol, population, seed=5)
+        seen = {}
+        for backend in ("reference", "fast"):
+            scheduler = RandomPairScheduler(population, seed=5)
+            simulator = make_simulator(
+                backend, protocol, population, scheduler, NamingProblem(),
+                sanitize=True,
+            )
+            trace = Trace(capacity=None)
+            events = []
+            result = simulator.run(
+                initial,
+                max_interactions=200_000,
+                trace=trace,
+                observer=lambda i, c: events.append((i, c)),
+            )
+            result.trace = None
+            seen[backend] = (result, trace.records, events)
+        assert simulator.last_run_fast
+        assert seen["fast"] == seen["reference"]
+        assert seen["fast"][0].converged
+
+    def test_sanitizer_rejects_an_undeclared_leader_state(self):
+        from repro.core.global_naming import GlobalLeaderState
+        from repro.errors import SanitizerError
+
+        protocol = GlobalNamingProtocol(9)
+        population = Population(4, has_leader=True)
+        rogue = Configuration.from_states(
+            population, [0, 1, 2, 3], GlobalLeaderState(99, 0, 0)
+        )
+        for backend in ("reference", "fast"):
+            simulator = make_simulator(
+                backend,
+                protocol,
+                population,
+                RandomPairScheduler(population, seed=1),
+                NamingProblem(),
+                sanitize=True,
+            )
+            with pytest.raises(SanitizerError, match="declared leader space"):
+                simulator.run(rogue, max_interactions=1_000)
+
+    def test_runs_share_the_protocols_lazy_table(self):
+        protocol = GlobalNamingProtocol(9)
+        population = Population(6, has_leader=True)
+        tables = set()
+        for seed in range(3):
+            simulator = FastSimulator(
+                protocol,
+                population,
+                RandomPairScheduler(population, seed=seed),
+                NamingProblem(),
+            )
+            simulator.run(_initial_for(protocol, population, seed))
+            tables.add(simulator._table)
+        assert len(tables) == 1
+        # The declared leader space has 25,700 states; the table holds
+        # only the mobile states and the leader states the runs visited.
+        assert protocol.leader_space_size() == 25_700
+        assert tables.pop().n_states < 1_000
+
+    def test_oversized_mobile_space_still_falls_back(self):
+        protocol = GlobalNamingProtocol(9)
+        population = Population(3, has_leader=True)
+        simulator = FastSimulator(
+            protocol,
+            population,
+            RandomPairScheduler(population, seed=0),
+            NamingProblem(),
+            compile_limit=8,
+        )
+        assert not simulator.compiled
+        with pytest.warns(
+            BackendFallbackWarning, match="could not be compiled"
+        ):
+            simulator.run(
+                _initial_for(protocol, population, 0), max_interactions=100
+            )
+        assert not simulator.last_run_fast
+
+    def test_convergence_cells_match_reference_without_reference_fallback(
+        self,
+    ):
+        from repro.experiments.convergence import measure, protocol_series
+
+        for protocol, sizes, uniform in protocol_series(9):
+            leadered = protocol.requires_leader and compile_table(
+                protocol
+            ) is None
+            for n in sizes:
+                reference = measure(
+                    protocol, n, 9, range(3), 2_000_000, uniform,
+                    backend="reference",
+                )
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    fast = measure(
+                        protocol, n, 9, range(3), 2_000_000, uniform,
+                        backend="fast",
+                    )
+                    auto = measure(protocol, n, 9, range(3), 2_000_000, uniform)
+                assert fast == reference
+                if leadered:
+                    # batch -> counts -> fast: the ladder stops at fast.
+                    assert auto == reference
+                assert not [
+                    w
+                    for w in caught
+                    if issubclass(w.category, BackendFallbackWarning)
+                    and w.message.delegate == "reference"
+                ]
+
+
+class TestRoleBoundaryCrossing:
+    """Rules that move a state across the mobile/leader boundary."""
+
+    #: The leader-only state "L" reaches a mobile agent, after which the
+    #: leader-only pair ("L", "L") becomes schedulable.
+    PROTOCOL = TableProtocol(
+        {(0, "L"): ("L", "L"), ("L", "L"): (1, 1)},
+        mobile_states=(0, 1),
+        leader_states=("L",),
+    )
+
+    @pytest.mark.parametrize("backend", ["fast", "counts", "batch"])
+    def test_matches_reference(self, backend):
+        population = Population(3, has_leader=True)
+        initial = Configuration.from_states(population, [0, 1, 1], "L")
+        for seed in range(20):
+            results = {}
+            for name in ("reference", backend):
+                scheduler = RandomPairScheduler(population, seed=seed)
+                simulator = make_simulator(
+                    name, self.PROTOCOL, population, scheduler, None
+                )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", BackendFallbackWarning)
+                    results[name] = simulator.run(
+                        initial, max_interactions=200
+                    )
+            assert results[backend] == results["reference"]
+            assert results["reference"].final_configuration.states == (
+                1, 1, 1, 1,
+            )
+
+    def test_fast_path_serves_the_crossing_run(self):
+        population = Population(3, has_leader=True)
+        simulator = FastSimulator(
+            self.PROTOCOL,
+            population,
+            RandomPairScheduler(population, seed=0),
+            None,
+        )
+        assert not compile_table(self.PROTOCOL).closed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BackendFallbackWarning)
+            result = simulator.run(
+                Configuration.from_states(population, [0, 1, 1], "L"),
+                max_interactions=200,
+            )
+        assert simulator.last_run_fast
+        assert isinstance(simulator._table, LazyTransitionTable)
+        assert not simulator._table.closed
+        assert result.non_null_interactions == 2
 
 
 class TestFallbacks:
@@ -443,6 +711,16 @@ class TestContentAddressedTableCache:
         table2 = compile_table(AsymmetricNamingProtocol(5))
         assert table1 is not table2
         assert table1.fingerprint != table2.fingerprint
+
+    def test_fingerprint_bytes_are_pinned(self):
+        # Fingerprints key serve jobs and on-disk artifacts across
+        # releases; the row layout of the fast engine must not move them.
+        assert table_fingerprint(AsymmetricNamingProtocol(5)) == (
+            "85216a6e85644d948c6a1122b30f3e6ebb7f9f82fd4c0efc4dbb47aeddb8f9fa"
+        )
+        assert table_fingerprint(GlobalNamingProtocol(3)) == (
+            "83afa08cc8d9c63655a1432dc2527f24378ddf4c45649a1c4d950f7179c98a6e"
+        )
 
     def test_fingerprint_stable_across_instances(self):
         fp1 = table_fingerprint(AsymmetricNamingProtocol(6))

@@ -53,4 +53,4 @@ class TestExamples:
     def test_exact_analysis(self):
         out = run_example("exact_analysis.py")
         assert "solves naming under global fairness : True" in out
-        assert "1,962,290,181" in out
+        assert "1,962,289,959" in out

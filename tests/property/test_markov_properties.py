@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.markov import (
-    _transition_distribution,
+    _transition_draws,
     expected_convergence_time,
     naming_absorbing,
 )
@@ -55,14 +55,13 @@ class TestBellmanConsistency:
             if absorbing(node):
                 assert expectation == 0.0
                 continue
-            distribution = _transition_distribution(
+            weights, draws = _transition_draws(
                 protocol, node, has_leader=False
             )
-            total_probability = sum(distribution.values())
-            assert abs(total_probability - 1.0) < 1e-9
+            assert sum(weights.values()) == draws
             bellman = 1.0 + sum(
-                weight * times[target]
-                for target, weight in distribution.items()
+                weight / draws * times[target]
+                for target, weight in weights.items()
             )
             assert abs(bellman - expectation) < 1e-6 * max(1.0, expectation)
 
