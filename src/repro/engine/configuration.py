@@ -84,10 +84,26 @@ class Configuration:
         mobile_state: State,
         leader_state: State | None = None,
     ) -> "Configuration":
-        """All mobile agents in ``mobile_state`` (uniform initialization)."""
-        return cls.from_states(
+        """All mobile agents in ``mobile_state`` (uniform initialization).
+
+        The :meth:`state_tally` is filled in O(1), equal to
+        ``Counter(states)`` in value and in iteration order, so interning
+        a uniform start into counts never hashes the N identical states.
+        An unhashable state gets no tally: ``state_tally()`` then raises
+        ``TypeError``, which interning reports as a state outside the
+        protocol's declared space.
+        """
+        config = cls.from_states(
             population, (mobile_state,) * population.n_mobile, leader_state
         )
+        try:
+            tally = Counter({mobile_state: population.n_mobile})
+            if population.has_leader:
+                tally[leader_state] += 1
+        except TypeError:
+            return config
+        object.__setattr__(config, "_tally_cache", tally)
+        return config
 
     # ------------------------------------------------------------------
     # Views
@@ -133,11 +149,13 @@ class Configuration:
     def state_tally(self) -> Counter:
         """Multiset of *all* states, leader included, cached.
 
-        Tallying hashes every agent's state — the dominant fixed cost of
-        interning a large configuration into a counts vector — so the
-        result is computed once and reused when several count-based
-        simulators run from the same (immutable) configuration.  Callers
-        must not mutate the returned counter.
+        The tally is what interning a configuration into a counts vector
+        costs.  Configurations built by :meth:`uniform` and the
+        counts-backed :class:`~repro.engine.counts.CountsConfiguration`
+        carry it in O(S) for S distinct states; any other configuration
+        pays one C-speed ``Counter`` pass over its N states on first
+        call, cached on the instance for later calls.  Callers must not
+        mutate the returned counter.
         """
         if self._tally_cache is None:
             object.__setattr__(self, "_tally_cache", Counter(self.states))

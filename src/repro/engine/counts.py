@@ -207,11 +207,13 @@ def intern_initial(
     leader_state = (
         initial.states[leader_pos] if leader_pos is not None else None
     )
-    # Tally distinct states at C speed (the per-agent Python loop
-    # would dominate run() at N = 10^5+), then intern and role-check
-    # per *distinct* state only.  The tally is cached on the immutable
-    # configuration, so re-running from the same start (ensembles,
-    # benchmark baselines) pays the hash pass once.
+    # Intern and role-check per *distinct* state only, from the
+    # configuration's state tally: O(S) for uniform starts and
+    # counts-backed configurations, which carry it, and one C-speed
+    # Counter pass over the N states otherwise (a per-agent Python loop
+    # would dominate run() at N = 10^5+).  Ensemble factories build a
+    # new configuration for every seed, so each replicate pays its own
+    # tally; only re-running the same object reuses the cached one.
     try:
         tally = initial.state_tally()
         for state, k in tally.items():

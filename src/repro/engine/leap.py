@@ -585,7 +585,14 @@ class LeapSimulator:
             # -- exact-SSA burst: geometric null-gap plus categorical
             # event pick, the same chain the counts backend samples.
             # Serves collapsed-tau churn, small populations, and the
-            # sparse endgame where exact gap-skipping is just as fast --
+            # sparse endgame where exact gap-skipping is just as fast.
+            # Unlike bleap's burst it recomputes the whole weight row
+            # every step, on purpose: the weights here are float64 and
+            # NumPy sums them pairwise, so above N ~ 9.5e7, where
+            # N(N - 1) passes 2^53, a running total kept in Python
+            # would round differently and change the stream.  The whole
+            # leap run is a few percent of the large_n benchmark pass,
+            # too little to pay for a second, N-dependent burst --
             burst = 0
             while burst < EXACT_BURST and pos < budget:
                 if burst:

@@ -20,15 +20,23 @@ import multiprocessing
 import pickle
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.asymmetric import AsymmetricNamingProtocol
+from repro.core.leader_uniform import (
+    CounterLeaderState,
+    LeaderUniformNamingProtocol,
+)
+from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
+from repro.engine import bleap
 from repro.engine import sanitize as _sanitize
+from repro.engine.batch import COL
 from repro.engine.bleap import BatchedLeapSimulator
 from repro.engine.configuration import Configuration
 from repro.engine.ensemble import run_ensemble
 from repro.engine.fast import make_simulator
-from repro.engine.leap import DEFAULT_LEAP_EPS, DEFAULT_MIN_TAU
+from repro.engine.leap import DEFAULT_LEAP_EPS, DEFAULT_MIN_TAU, EXACT_BURST
 from repro.engine.population import Population
 from repro.engine.problems import NamingProblem
 from repro.errors import (
@@ -242,6 +250,144 @@ class TestSeedIdentity:
             assert ensemble.seeds == seeds
             runs[n_jobs] = [result_key(r) for r in ensemble.results]
         assert runs[1] == runs[3]
+
+
+def _reference_burst(deltas):
+    """Reference for :func:`repro.engine.bleap._exact_burst`: the
+    kernel's earlier per-row exact-SSA loop, which recomputes the whole
+    weight row on every step, verbatim but for taking the row's position
+    as an int and returning ``(pos, events)``."""
+
+    def burst_fn(rng, c_row, pos, budget, total_pairs, plan, tables):
+        pair_i, pair_j, diag = plan.pair_i, plan.pair_j, plan.diag
+        burst = 0
+        while burst < EXACT_BURST and pos < budget:
+            wr = c_row[pair_i] * (c_row[pair_j] - diag)
+            wt = int(wr.sum())
+            if wt == 0:
+                break  # the next refresh finalizes silence
+            gap = int(rng.geometric(wt / total_pairs))
+            if pos + gap > budget:
+                pos = budget
+                break
+            pos += gap
+            cum = np.cumsum(wr, dtype=np.float64)
+            f = int(
+                np.searchsorted(
+                    cum,
+                    rng.random() * float(cum[-1]),
+                    side="right",
+                )
+            )
+            c_row += deltas[f]
+            burst += 1
+        return pos, burst
+
+    return burst_fn
+
+
+#: name -> (protocol, mobile agents, start state, leader state, budget,
+#: seeds, sanitize, what the case must exercise).
+BURST_CASES = {
+    "prop12-P8-N1e5-uniform": (
+        AsymmetricNamingProtocol(8), 100_000, 0, None, 1_000_000,
+        range(3), False, "leap-and-ssa",
+    ),
+    "prop12-P256-N200": (
+        AsymmetricNamingProtocol(256), 200, 0, None, 40_000,
+        range(2), False, "ssa-only",
+    ),
+    "prop13-P64-N1e4": (
+        SymmetricGlobalNamingProtocol(64), 10_000, 0, None, 100_000,
+        range(2), False, "wide-events",
+    ),
+    "prop14-P16-leader": (
+        LeaderUniformNamingProtocol(16), 16, 16, CounterLeaderState(1),
+        100_000, range(6), False, "silent-mid-burst",
+    ),
+    "prop12-P8-N1e4-sanitize": (
+        AsymmetricNamingProtocol(8), 10_000, 0, None, 100_000,
+        range(2), True, "leap-and-ssa",
+    ),
+    "budget-mid-burst": (
+        AsymmetricNamingProtocol(8), 1_000, 0, None, 3_333,
+        range(4), False, "budget-mid-burst",
+    ),
+    "silent-mid-burst": (
+        AsymmetricNamingProtocol(8), 8, 0, None, 100_000,
+        range(4), False, "silent-mid-burst",
+    ),
+}
+
+
+def _burst_raw(name):
+    """Run one :data:`BURST_CASES` case natively; returns (raw, simulator)."""
+    protocol, n, start, leader, budget, seeds, sanitize, _ = BURST_CASES[
+        name
+    ]
+    population = Population(n, has_leader=leader is not None)
+    simulator = BatchedLeapSimulator(
+        protocol,
+        population,
+        RandomPairScheduler(population, seed=0),
+        NamingProblem(),
+        sanitize=sanitize,
+    )
+    initial = Configuration.uniform(population, start, leader)
+    raw, reason = simulator.run_replicates_raw(
+        [initial] * len(seeds),
+        [RandomPairScheduler(population, seed=s) for s in seeds],
+        max_interactions=budget,
+    )
+    assert reason is None, reason
+    return raw, simulator
+
+
+class TestExactBurst:
+    """``_exact_burst`` updates only the touched pair weights, yet draws
+    the same stream as the whole-row loop it replaced: every count and
+    scalar of every row must match, on narrow, wide and leader plans,
+    sanitized, and on bursts cut short by the budget or by silence."""
+
+    @pytest.mark.parametrize("name", list(BURST_CASES))
+    def test_matches_reference_burst(self, name, monkeypatch):
+        outcomes = []
+        incremental = bleap._exact_burst
+
+        def spy(rng, c, pos, budget, total_pairs, plan, tables):
+            pos, events = incremental(
+                rng, c, pos, budget, total_pairs, plan, tables
+            )
+            weight = int((c[plan.pair_i] * (c[plan.pair_j] - plan.diag)).sum())
+            outcomes.append((events, pos == budget, weight == 0))
+            return pos, events
+
+        monkeypatch.setattr(bleap, "_exact_burst", spy)
+        raw, simulator = _burst_raw(name)
+        monkeypatch.setattr(
+            bleap, "_exact_burst", _reference_burst(simulator._leap.deltas)
+        )
+        reference, _ = _burst_raw(name)
+        assert np.array_equal(raw.counts, reference.counts)
+        assert np.array_equal(raw.scalars, reference.scalars)
+
+        assert outcomes, "no row reached the exact-SSA burst"
+        cut = [o for o in outcomes if 0 < o[0] < EXACT_BURST]
+        expect = BURST_CASES[name][-1]
+        leaps = raw.scalars[:, COL["leaps"]]
+        if expect == "leap-and-ssa":
+            assert leaps.any() and raw.scalars[:, COL["ssa_rows"]].any()
+        elif expect == "ssa-only":
+            assert not leaps.any()
+        elif expect == "wide-events":
+            tables = bleap._BurstTables(
+                simulator._plan, simulator._leap.deltas
+            )
+            assert None in tables.touched
+        elif expect == "budget-mid-burst":
+            assert any(at_budget and not silent for _, at_budget, silent in cut)
+        elif expect == "silent-mid-burst":
+            assert any(silent for _, _, silent in cut)
 
 
 class TestStatisticalEquivalence:

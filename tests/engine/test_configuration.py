@@ -1,11 +1,18 @@
 """Tests for Configuration: construction, views, equivalence, updates."""
 
+import warnings
+from collections import Counter
+
 import pytest
 
+from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.core.counting import CountingLeaderState
 from repro.engine.configuration import Configuration
+from repro.engine.counts import intern_initial
+from repro.engine.fast import compile_table, make_simulator
 from repro.engine.population import Population
-from repro.errors import ConfigurationError
+from repro.errors import BackendFallbackWarning, ConfigurationError
+from repro.schedulers.random_pair import RandomPairScheduler
 
 LEADER = CountingLeaderState(0, 0)
 
@@ -46,6 +53,59 @@ class TestConstruction:
     def test_leader_index_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             Configuration((1, 2), leader_index=5)
+
+
+class TestUniformTally:
+    @pytest.mark.parametrize(
+        "population, mobile, leader",
+        [
+            (Population(5), 0, None),
+            (Population(4, has_leader=True), 3, LEADER),
+            # The leader's state equal to the mobile one: Counter merges them.
+            (Population(3, has_leader=True), 7, 7),
+        ],
+        ids=["leaderless", "leadered", "leader-equals-mobile"],
+    )
+    def test_prefilled_tally_is_counter_of_states(
+        self, population, mobile, leader
+    ):
+        config = Configuration.uniform(population, mobile, leader)
+        tally = config._tally_cache
+        assert tally is not None
+        expected = Counter(config.states)
+        assert tally == expected
+        assert list(tally.items()) == list(expected.items())
+        assert config.state_tally() is tally
+
+    def test_unhashable_state_builds_without_tally(self):
+        config = Configuration.uniform(Population(3), [1])
+        assert config.states == ([1], [1], [1])
+        assert config._tally_cache is None
+
+    def test_unhashable_state_keeps_interning_fallback(self):
+        protocol = AsymmetricNamingProtocol(4)
+        table = compile_table(protocol)
+        population = Population(3)
+        config = Configuration.uniform(population, [1])
+        counts, reason = intern_initial(
+            table, len(table.mobile_indices), config
+        )
+        assert counts is None
+        assert "outside the protocol's declared state space" in reason
+        simulator = make_simulator(
+            "counts", protocol, population,
+            RandomPairScheduler(population, seed=1),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = simulator.run(config, max_interactions=0)
+        assert result.final_configuration == config
+        delegates = [
+            w.message.delegate
+            for w in caught
+            if issubclass(w.category, BackendFallbackWarning)
+        ]
+        assert delegates[-1] == "reference"
 
 
 class TestViews:
