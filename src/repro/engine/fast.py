@@ -29,7 +29,19 @@ running an order of magnitude faster:
   identical to one-at-a-time sampling;
 * the mobile-state multiset is maintained incrementally, so the naming
   predicate (``names_distinct``) is O(1) per interaction and the silence
-  certificate is O(distinct states squared) instead of O(N).
+  certificate is O(distinct states squared) instead of O(N);
+* a run under a periodic schedule (:attr:`Scheduler.period`) skips whole
+  cycles once its configuration provably repeats: every
+  ``lcm(period, check_interval)`` interactions, Brent's cycle detection
+  compares the configuration with one saved snapshot, and on a repeat
+  the remaining whole cycles are added to the interaction and non-null
+  counts without being simulated.  It applies only to plain runs (no
+  trace, no observer, sanitizer off) whose problem is ``None`` or
+  exactly :class:`NamingProblem`, and is exact: a repeating cycle with a
+  non-null meeting holds no silent, hence no solved, configuration, and
+  one without is a fixed point no check re-examines.  Proposition 1's
+  matching adversary is the motivating case: its livelock is certified
+  after one stride instead of simulated for the whole budget.
 
 The backend falls back gracefully to the reference simulator whenever the
 fast path cannot guarantee identical semantics: unhashable or
@@ -41,6 +53,7 @@ initial states outside the declared space.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 import warnings
 import weakref
@@ -797,6 +810,26 @@ class FastSimulator:
             converged_at = 0
 
         plain = trace is None and observer is None
+        # Exact periodic fast-forward (see the module docstring).  Every
+        # ``stride`` interactions, a multiple of the period and of the
+        # check interval, the scheduler and the check cadence are back in
+        # phase, so a configuration seen twice at stride boundaries
+        # recurs forever.  Traces, observers and the sanitizer see every
+        # interaction, and a custom problem may be solved before silence,
+        # so only the plain path qualifies.
+        period = scheduler.period
+        stride = 0
+        if (
+            period is not None
+            and plain
+            and not sanitizing
+            and (problem is None or fast_naming)
+        ):
+            stride = math.lcm(period, check_interval)
+            saved = state_idx[:]
+            saved_at = saved_non_null = 0
+            power = 1
+            lam = 0
         interaction = 0
         while interaction < max_interactions and converged_at is None:
             batch = min(
@@ -929,6 +962,23 @@ class FastSimulator:
                 if solved():
                     converged_at = interaction
                 quiescent_since_check = True
+
+            if stride and interaction % stride == 0 and converged_at is None:
+                # Brent's cycle detection: compare with the snapshot,
+                # which moves to the current boundary at powers of two.
+                lam += 1
+                if state_idx == saved:
+                    cycle = interaction - saved_at
+                    k = (max_interactions - interaction) // cycle
+                    interaction += k * cycle
+                    non_null += k * (non_null - saved_non_null)
+                    stride = 0
+                elif lam == power:
+                    saved = state_idx[:]
+                    saved_at = interaction
+                    saved_non_null = non_null
+                    power *= 2
+                    lam = 0
 
         if converged_at is None and problem is not None and solved():
             converged_at = interaction

@@ -28,7 +28,7 @@ from repro.engine.configuration import Configuration
 from repro.engine.population import Population
 from repro.engine.problems import NamingProblem
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.simulator import Simulator
+from repro.engine.fast import make_simulator
 from repro.experiments.report import check_mark, render_table
 from repro.schedulers.adversarial import HomonymPreservingScheduler
 from repro.schedulers.base import Scheduler
@@ -62,8 +62,15 @@ def _run(
     budget: int,
     problem=None,
 ) -> AblationPoint:
-    simulator = Simulator(
-        protocol, population, scheduler, problem or NamingProblem()
+    # Oblivious schedulers run on the fast engine, which skips the
+    # repeating cycles of the periodic ones exactly; an inspecting
+    # adversary needs the reference loop either way.
+    simulator = make_simulator(
+        "reference" if scheduler.inspects_configuration else "fast",
+        protocol,
+        population,
+        scheduler,
+        problem or NamingProblem(),
     )
     result = simulator.run(initial, max_interactions=budget)
     return AblationPoint(

@@ -274,7 +274,8 @@ def _infeasible_cell(
 
     # Proposition 1's adversary versus a concrete symmetric protocol: the
     # matching scheduler keeps an even, uniformly started population fully
-    # symmetric forever (we run it for the whole budget).
+    # symmetric forever (we run it for the whole budget; the fast engine
+    # skips the run's repeating cycles exactly).
     even_n = bound if bound % 2 == 0 else bound + 1
     protocol = SymmetricGlobalNamingProtocol(even_n)
     population = Population(even_n)

@@ -145,6 +145,7 @@ class FixedSequenceScheduler(Scheduler):
         covered = {frozenset(p) for p in sequence}
         required = {frozenset(p) for p in population.unordered_pairs()}
         self.weakly_fair = covered >= required
+        self.period = len(self._sequence)
 
     def next_pair(self, config: Configuration) -> tuple[AgentId, AgentId]:
         pair = self._sequence[self._position]

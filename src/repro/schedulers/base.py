@@ -22,6 +22,14 @@ from repro.errors import SchedulerError
 class Scheduler(ABC):
     """Chooses which ordered pair of agents interacts next.
 
+    A scheduler that declares an integer :attr:`period` promises that,
+    from *any* position in its stream, the next ``period`` proposals and
+    its internal state repeat exactly every ``period`` proposals, whatever
+    configurations it is handed.  Deterministic cyclic schedulers declare
+    it; randomized, configuration-inspecting and composite schedulers
+    leave the ``None`` default.  The fast backend relies on the promise to
+    skip whole cycles of a run that provably repeats.
+
     Parameters
     ----------
     population:
@@ -56,6 +64,12 @@ class Scheduler(ABC):
     #: configuration's multiset, without agent identities.  Schedulers
     #: that bias, order or restrict pairs must leave it ``False``.
     uniform_pairs: bool = False
+
+    #: Proposals after which the pair stream and the scheduler's internal
+    #: state repeat, from any position and for any configuration, or
+    #: ``None`` when no such period exists (see the class docstring).
+    #: Periodic schedulers set it per instance in ``__init__``.
+    period: int | None = None
 
     def __init__(self, population: Population, seed: int | None = None) -> None:
         if population.size < 2:

@@ -79,6 +79,9 @@ class MatchingScheduler(Scheduler):
         self._phase_index = 0
         self._pair_index = 0
         self._orient_flip = False
+        # One rotation serves every pair once; the orientation flips per
+        # rotation, so the stream repeats after two.
+        self.period = 2 * sum(len(phase) for phase in self._phases)
 
     def next_pair(self, config: Configuration) -> tuple[AgentId, AgentId]:
         phase = self._phases[self._phase_index]

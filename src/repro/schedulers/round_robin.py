@@ -46,6 +46,8 @@ class RoundRobinScheduler(Scheduler):
         self._position = 0
         if self._shuffle:
             self._rng.shuffle(self._pairs)
+        # A reshuffled cycle draws from the random source: no period.
+        self.period = None if self._shuffle else len(self._pairs)
 
     def next_pair(self, config: Configuration) -> tuple[AgentId, AgentId]:
         pair = self._pairs[self._position]
@@ -87,6 +89,8 @@ class InterleavedRoundRobinScheduler(Scheduler):
         )
         self._position = 0
         self._flip = False
+        # The orientation flips once per cycle.
+        self.period = 2 * len(self._pairs)
 
     def next_pair(self, config: Configuration) -> tuple[AgentId, AgentId]:
         x, y = self._pairs[self._position]

@@ -40,9 +40,17 @@ from repro.engine.protocol import TableProtocol
 from repro.engine.simulator import Simulator
 from repro.engine.trace import Trace
 from repro.errors import BackendFallbackWarning, SimulationError
-from repro.schedulers.adversarial import HomonymPreservingScheduler
+from repro.schedulers.adversarial import (
+    FixedSequenceScheduler,
+    HomonymPreservingScheduler,
+)
 from repro.schedulers.base import Scheduler
+from repro.schedulers.matching import MatchingScheduler
 from repro.schedulers.random_pair import RandomPairScheduler
+from repro.schedulers.round_robin import (
+    InterleavedRoundRobinScheduler,
+    RoundRobinScheduler,
+)
 
 
 def _initial_for(protocol, population, seed, uniform=False):
@@ -487,6 +495,200 @@ class TestRoleBoundaryCrossing:
         assert isinstance(simulator._table, LazyTransitionTable)
         assert not simulator._table.closed
         assert result.non_null_interactions == 2
+
+
+def _fixed_sequence(population, seed):
+    """Every ordered pair in seeded order, then a third of them again."""
+    pairs = list(population.ordered_pairs())
+    random.Random(seed).shuffle(pairs)
+    return FixedSequenceScheduler(
+        population, pairs + pairs[: len(pairs) // 3 + 1], seed=seed
+    )
+
+
+def _shuffled_round_robin(population, seed):
+    return RoundRobinScheduler(population, seed=seed, shuffle_each_cycle=True)
+
+
+#: Factories ``(population, seed) -> scheduler`` for the deterministic
+#: schedulers; the shuffled round robin is the one that declares no period.
+DETERMINISTIC_SCHEDULERS = {
+    "matching": MatchingScheduler,
+    "round_robin": RoundRobinScheduler,
+    "round_robin_shuffled": _shuffled_round_robin,
+    "interleaved": InterleavedRoundRobinScheduler,
+    "fixed_sequence": _fixed_sequence,
+}
+
+#: ``(protocol, N)`` per table kind.  Under these weakly fair schedules
+#: Prop. 13 and Protocol 3 at N = P livelock; the others converge.
+PERIODIC_CASES = {
+    "prop12-eager": (AsymmetricNamingProtocol(5), 5),
+    "prop13-eager": (SymmetricGlobalNamingProtocol(6), 6),
+    "protocol2-eager-leader": (SelfStabilizingNamingProtocol(4), 4),
+    "protocol3-eager-leader": (GlobalNamingProtocol(4), 4),
+    "protocol2-lazy-leader": (SelfStabilizingNamingProtocol(9), 6),
+    "protocol3-lazy-leader": (GlobalNamingProtocol(5), 5),
+}
+
+#: Two agents holding 0 and 1 both become 2; every other pair is null.
+#: From [0, 1, 0, 1] a run falls silent with duplicate names, a fixed
+#: point that is never solved.
+ZERO_ACTIVITY = TableProtocol({(0, 1): (2, 2)}, mobile_states=(0, 1, 2))
+
+
+def _prop1_start():
+    """Proposition 1's setting: N = 6, no leader, a uniform start."""
+    population = Population(6)
+    return population, Configuration.uniform(population, 1)
+
+
+def _run_periodic(
+    protocol,
+    population,
+    make_scheduler,
+    initial,
+    budget,
+    problem=...,
+    check_interval=None,
+    sanitize=False,
+    instrument=None,
+):
+    """Run ``reference`` and ``fast`` under one deterministic scheduler.
+
+    ``instrument`` is ``None``, ``"trace"`` or ``"observer"``.  Returns,
+    per backend, the result (trace detached), the trace records or
+    observer events, the scheduler's next pairs after the run (a period,
+    or one cycle of a shuffled round robin) and the number of pairs the
+    run drew through ``next_pairs``.
+    """
+    if problem is ...:
+        problem = NamingProblem()
+    out = {}
+    for backend in ("reference", "fast"):
+        scheduler = make_scheduler(population, 3)
+        drawn = [0]
+        batched = scheduler.next_pairs
+
+        def counting(config, count, batched=batched, drawn=drawn):
+            drawn[0] += count
+            return batched(config, count)
+
+        scheduler.next_pairs = counting
+        simulator = make_simulator(
+            backend, protocol, population, scheduler, problem,
+            check_interval, sanitize=sanitize,
+        )
+        kwargs = {}
+        events = []
+        if instrument == "trace":
+            kwargs["trace"] = Trace(capacity=None)
+        elif instrument == "observer":
+            kwargs["observer"] = lambda i, c: events.append((i, c))
+        result = simulator.run(initial, max_interactions=budget, **kwargs)
+        if instrument == "trace":
+            events = result.trace.records
+            result.trace = None
+        horizon = scheduler.period or 2 * population.pair_count()
+        after = [scheduler.next_pair(None) for _ in range(horizon)]
+        out[backend] = (result, events, after, drawn[0])
+    return out["reference"], out["fast"]
+
+
+class TestPeriodicFastForward:
+    """Whole cycles of a periodic schedule are skipped, exactly."""
+
+    @pytest.mark.parametrize("case", sorted(PERIODIC_CASES))
+    @pytest.mark.parametrize("name", sorted(DETERMINISTIC_SCHEDULERS))
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_matches_reference(self, case, name, uniform):
+        protocol, n = PERIODIC_CASES[case]
+        population = Population(n, protocol.requires_leader)
+        initial = _initial_for(protocol, population, 7, uniform)
+        make_scheduler = DETERMINISTIC_SCHEDULERS[name]
+        # 12,345 is a multiple of no stride, so a remainder always runs.
+        ref, fast = _run_periodic(
+            protocol, population, make_scheduler, initial, 12_345
+        )
+        assert fast[:3] == ref[:3]
+        result, drawn = ref[0], fast[3]
+        if make_scheduler(population, 3).period and not result.converged:
+            assert drawn < result.interactions
+        else:
+            assert drawn == result.interactions
+
+    @pytest.mark.parametrize("budget", [999, 50_001])
+    def test_prop1_livelock_is_certified_in_one_stride(self, budget):
+        # period 30 (two rotations of 15 pairs) and check interval 16:
+        # stride 240.  The uniform start recurs at interaction 240, so
+        # the run draws one stride plus the budget's remainder.  The
+        # budgets end on phase boundaries, where symmetry holds.
+        population, initial = _prop1_start()
+        ref, fast = _run_periodic(
+            SymmetricGlobalNamingProtocol(6), population, MatchingScheduler,
+            initial, budget,
+        )
+        assert fast[:3] == ref[:3]
+        assert not ref[0].converged
+        assert ref[0].interactions == budget
+        assert len(set(ref[0].final_configuration.mobile_states)) == 1
+        assert fast[3] == 240 + budget % 240
+
+    @pytest.mark.parametrize("name", ["matching", "round_robin"])
+    def test_zero_activity_cycle(self, name):
+        population = Population(4)
+        initial = Configuration.from_states(population, (0, 1, 0, 1))
+        ref, fast = _run_periodic(
+            ZERO_ACTIVITY, population, DETERMINISTIC_SCHEDULERS[name],
+            initial, 40_003,
+        )
+        assert fast[:3] == ref[:3]
+        assert not ref[0].converged
+        assert ref[0].non_null_interactions == 2
+        assert ref[0].final_configuration.mobile_states == (2, 2, 2, 2)
+        assert fast[3] < 1_000
+
+    @pytest.mark.parametrize("check_interval", [1, 7, 45])
+    def test_check_interval_override(self, check_interval):
+        population, initial = _prop1_start()
+        ref, fast = _run_periodic(
+            SymmetricGlobalNamingProtocol(6), population, MatchingScheduler,
+            initial, 30_011, check_interval=check_interval,
+        )
+        assert fast[:3] == ref[:3]
+        assert not ref[0].converged
+        assert fast[3] < 2_000
+
+    @pytest.mark.parametrize(
+        "bypass", ["trace", "observer", "sanitize", "subclass", "shuffled"]
+    )
+    def test_not_engaged_off_the_plain_path(self, bypass):
+        class StrictNaming(NamingProblem):
+            """Identity subclass; may not take the silence shortcut."""
+
+        protocol = SymmetricGlobalNamingProtocol(6)
+        population, initial = _prop1_start()
+        make_scheduler = MatchingScheduler
+        kwargs = {}
+        if bypass in ("trace", "observer"):
+            kwargs["instrument"] = bypass
+        elif bypass == "sanitize":
+            kwargs["sanitize"] = True
+        elif bypass == "subclass":
+            kwargs["problem"] = StrictNaming()
+        else:
+            protocol = ZERO_ACTIVITY
+            population = Population(4)
+            initial = Configuration.from_states(population, (0, 1, 0, 1))
+            make_scheduler = _shuffled_round_robin
+        ref, fast = _run_periodic(
+            protocol, population, make_scheduler, initial, 5_001, **kwargs
+        )
+        assert fast[:3] == ref[:3]
+        assert not ref[0].converged
+        assert fast[3] == 5_001
+        if bypass in ("trace", "observer"):
+            assert ref[1]
 
 
 class TestFallbacks:

@@ -1,5 +1,7 @@
 """Tests for the Table 1 regeneration harness - the headline experiment."""
 
+import warnings
+
 import pytest
 
 from repro.core.spec import (
@@ -10,6 +12,7 @@ from repro.core.spec import (
     Symmetry,
     table1_cell,
 )
+from repro.errors import BackendFallbackWarning
 from repro.experiments.table1 import (
     Table1Row,
     _simulation_sizes,
@@ -23,6 +26,17 @@ def rows():
     # bound=4 keeps the whole regeneration fast while exercising N = P
     # for every protocol family.
     return run_table1(bound=4, seed=11, budget=300_000, samples=2)
+
+
+@pytest.fixture(scope="module")
+def fast_rows():
+    with warnings.catch_warnings():
+        # The homonym-preserving adversary inspects the configuration
+        # and falls back to the reference simulator, with a warning.
+        warnings.simplefilter("ignore", BackendFallbackWarning)
+        return run_table1(
+            bound=4, seed=11, budget=300_000, samples=2, backend="fast"
+        )
 
 
 class TestRegeneration:
@@ -48,6 +62,12 @@ class TestRegeneration:
         for row in rows:
             if row.expected.feasible:
                 assert any("exact" in item for item in row.evidence)
+
+    def test_fast_backend_rows_equal_reference_rows(self, rows, fast_rows):
+        # Evidence strings included: the Prop. 1 adversary's run reports
+        # the same interaction count although the fast engine skips its
+        # repeating cycles.
+        assert fast_rows == rows
 
 
 class TestRendering:

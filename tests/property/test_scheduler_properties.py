@@ -1,12 +1,32 @@
-"""Property-based fairness validation of the deterministic schedulers."""
+"""Property-based validation of the deterministic schedulers: fairness
+and the ``period`` contract."""
 
+import copy
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fairness_audit import audit_scheduler
+from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.configuration import Configuration
 from repro.engine.population import Population
+from repro.schedulers.adversarial import (
+    EventuallyFairScheduler,
+    FixedSequenceScheduler,
+    HomonymPreservingScheduler,
+)
+from repro.schedulers.graph_restricted import (
+    GraphRestrictedScheduler,
+    path_edges,
+)
 from repro.schedulers.matching import MatchingScheduler, round_robin_matchings
+from repro.schedulers.random_matching import RandomMatchingScheduler
+from repro.schedulers.random_pair import (
+    LeaderBiasedScheduler,
+    RandomPairScheduler,
+)
 from repro.schedulers.round_robin import (
     InterleavedRoundRobinScheduler,
     RoundRobinScheduler,
@@ -72,3 +92,103 @@ class TestMatchingFairness:
             scheduler, config, 2 * population.pair_count()
         )
         assert audit.imbalance() == 1.0
+
+
+def _fixed_sequence(population, seed):
+    """A seeded sequence of ordered pairs, repeats allowed."""
+    rng = random.Random(seed)
+    pairs = list(population.ordered_pairs())
+    return FixedSequenceScheduler(
+        population,
+        [rng.choice(pairs) for _ in range(rng.randint(1, 3 * len(pairs)))],
+    )
+
+
+#: The schedulers that declare a period, with its expected value.
+PERIODIC = {
+    "matching": (
+        MatchingScheduler,
+        lambda population: 2 * population.pair_count(),
+    ),
+    "round_robin": (
+        RoundRobinScheduler,
+        lambda population: 2 * population.pair_count(),
+    ),
+    "interleaved": (
+        InterleavedRoundRobinScheduler,
+        lambda population: 2 * population.pair_count(),
+    ),
+    "fixed_sequence": (_fixed_sequence, None),
+}
+
+
+def _internal_state(scheduler):
+    """Everything a scheduler carries besides its population."""
+    return {
+        name: value.getstate() if isinstance(value, random.Random)
+        else copy.deepcopy(value)
+        for name, value in vars(scheduler).items()
+        if name != "population"
+    }
+
+
+class TestPeriodContract:
+    @pytest.mark.parametrize("name", sorted(PERIODIC))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=9),
+        has_leader=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        offset=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 40)), max_size=6
+        ),
+    )
+    def test_stream_and_state_repeat_every_period(
+        self, name, n, has_leader, seed, offset
+    ):
+        population = Population(n, has_leader)
+        make, expected = PERIODIC[name]
+        schedulers = [make(population, seed) for _ in range(2)]
+        # Reach the same arbitrary position on both, mixing single and
+        # batched proposals.
+        for scheduler in schedulers:
+            for batched, count in offset:
+                if batched:
+                    scheduler.next_pairs(None, count)
+                else:
+                    for _ in range(count):
+                        scheduler.next_pair(None)
+        scheduler, twin = schedulers
+        period = scheduler.period
+        if expected is not None:
+            assert period == expected(population)
+        assert isinstance(period, int) and period > 0
+        state = _internal_state(scheduler)
+        first = scheduler.next_pairs(None, period)
+        assert _internal_state(scheduler) == state
+        second = [scheduler.next_pair(None) for _ in range(period)]
+        assert second == first
+        assert _internal_state(scheduler) == state
+        # After whole periods the stream continues as if never drawn.
+        assert scheduler.next_pairs(None, 2 * period + 3) == twin.next_pairs(
+            None, 2 * period + 3
+        )
+
+    def test_randomized_inspecting_and_composite_declare_none(self):
+        population = Population(5, has_leader=True)
+        protocol = SymmetricGlobalNamingProtocol(5)
+        schedulers = [
+            RandomPairScheduler(population, seed=1),
+            LeaderBiasedScheduler(population, seed=1),
+            RandomMatchingScheduler(population, seed=1),
+            GraphRestrictedScheduler(population, path_edges(population), 1),
+            HomonymPreservingScheduler(population, protocol, seed=1),
+            EventuallyFairScheduler(
+                population,
+                MatchingScheduler(population),
+                RoundRobinScheduler(population),
+                prefix_length=10,
+            ),
+            RoundRobinScheduler(population, seed=1, shuffle_each_cycle=True),
+        ]
+        assert [s.period for s in schedulers] == [None] * len(schedulers)
