@@ -7,10 +7,9 @@ Commands
 ``recovery``      supplementary exp-s2: self-stabilizing fault recovery
 ``ablation``      supplementary exp-s4: scheduler ablation matrix
 ``lower-bounds``  supplementary exp-s3: exhaustive lower-bound verification
-``bench``         simulation-backend micro-benchmark (reference/fast/
-                  counts, plus batch-ensemble, leap and bleap sections)
-``serve-bench``   serving-layer stress benchmark (warm pool vs cold
-                  per-call setup, result-memo replay)
+``bench``         engine and serving throughput benchmark: one table of
+                  cells in seven sections (per-run backends, ensembles,
+                  leap, bleap, fluid, parallel, serve) and the CI gates
 ``lint``          static well-formedness audit of all registered protocols
 ``check``         symbolic model checker: verify naming properties on the
                   counts quotient, with replay-validated counterexamples
@@ -165,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("report", add_help=False)
     sub.add_parser("exact-times", add_help=False)
     sub.add_parser("bench", add_help=False)
-    sub.add_parser("serve-bench", add_help=False)
     sub.add_parser("lint", add_help=False)
     sub.add_parser("check", add_help=False)
 
@@ -260,7 +258,6 @@ def main(argv: list[str] | None = None) -> int:
         "report",
         "exact-times",
         "bench",
-        "serve-bench",
         "lint",
         "check",
         "simulate",
@@ -310,10 +307,6 @@ def main(argv: list[str] | None = None) -> int:
             return run(rest)
         if command == "bench":
             from repro.experiments.bench import main as run
-
-            return run(rest)
-        if command == "serve-bench":
-            from repro.serve.bench import main as run
 
             return run(rest)
         if command == "lint":

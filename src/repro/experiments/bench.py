@@ -1,123 +1,95 @@
-"""Micro-benchmark ``repro bench``: simulation-backend throughput.
+"""Micro-benchmark ``repro bench``: engine and serving throughput as one
+table of cells.
 
-Measures interactions/second of the reference simulator, the fast
-array-based backend (:mod:`repro.engine.fast`) and the count-based
-backend (:mod:`repro.engine.counts`) under the uniform-random scheduler,
-across population sizes, on two workloads:
+A *cell* (:class:`Cell`) is one timed measurement: its section, the
+workload, the engine measured, the baseline engine it is compared with,
+the start configuration, the population size ``N``, the replicate count
+``R``, the interaction budget per replicate and the number of repeats.
+Repeats are seed-identical runs of the same computation, so the fastest
+one is kept: it carries the least machine noise.  :data:`FULL_CELLS` is
+the default run and :data:`SMOKE_CELLS` the small cells of CI's smoke
+step.  The sections:
 
-* ``naming`` - the paper's single-rule asymmetric naming protocol
-  (Proposition 12) with a small bound, a mixed null/non-null workload;
-* ``churn``  - a stress protocol whose every interaction rewrites both
-  agents, the per-interaction worst case for every backend (the
-  reference pays an O(N) configuration copy per step, the counts
-  backend a Python-level counts update per step).
+* ``backends`` - the per-run ladder ``reference`` -> ``fast`` ->
+  ``counts`` on the naming protocol (Proposition 12, bound 8) and on
+  :class:`ChurnProtocol`, whose every interaction rewrites both agents.
+  ``reference`` pays O(N) per interaction and is timed only up to
+  :data:`REFERENCE_MAX_N` agents;
+* ``ensemble`` - the lockstep ``batch`` engine against chunked per-run
+  ``counts`` dispatch, both through
+  :func:`~repro.engine.ensemble.run_ensemble` with ``n_jobs=1``;
+* ``leap`` and ``bleap`` - the tau-leaping engines against exact
+  ``counts``, as a single run and as an ensemble;
+* ``fluid`` - the mean-field tier, run counts-native, against ``leap``
+  on the full ``10 N`` naming horizon, end to end;
+* ``parallel`` - a ``bleap`` ensemble and the symbolic checker's reach
+  fixpoint (:func:`repro.analysis.symbolic.reach`, engine ``reach``),
+  serial against ``sharded`` over :mod:`repro.engine.parallel`.  A
+  sharded cell runs its baseline's engine on one worker per core
+  (at least 2, at most 8);
+* ``serve`` - a burst of :data:`SERVE_JOBS` small naming ensembles:
+  ``cold`` calls ``run_ensemble`` once per job, ``warm`` submits the
+  burst to a fresh warmed :class:`~repro.serve.pool.ServePool`, and
+  ``memo`` resubmits it to a pool that has served it once already.
+  Every repeat gets its own pool and cache directory, so each includes
+  every protocol's first touch.
 
-Workloads start from a *spread* initial configuration (states dealt
-round-robin), so the null/non-null mix is stationary from the first
-interaction and the numbers measure per-interaction engine overhead
-rather than a protocol-specific transient.
+Starts, built outside the timer unless said otherwise:
 
-Besides timing, the run doubles as a differential smoke check: the fast
-and reference backends consume the same scheduler stream, so they must
-return *equal* :class:`SimulationResult`\\ s or the bench aborts (the
-counts backend draws its own randomness and is validated statistically
-in the test suite instead).  The reference backend is skipped above
-``REFERENCE_MAX_N`` agents, where its O(N)-per-interaction loop would
-dominate the wall-clock budget.  ``python -m repro bench`` prints the
-table and writes ``BENCH_simulator.json`` with per-workload speedups;
-``--floor`` turns the run into a perf gate on the counts backend's
-naming throughput at the largest size.
+* ``spread`` deals the protocol's states round-robin, so the
+  null/non-null mix of the exact engines is stationary from the first
+  interaction;
+* ``uniform`` puts every agent in state 0.  The windowed cells use it:
+  the spread start is the naming protocol's mean-field equilibrium, and
+  from it a replicate's whole budget is a single leap window;
+* ``zeros`` is the uniform start built as a plain agent vector *inside*
+  the timer, so the ``fluid`` cells are end to end (the fluid engine
+  runs from the counts ``{0: N}`` and never builds one);
+* ``roots`` is the model checker's root set of ``N`` agents.
 
-A second, ensemble-throughput section compares the lockstep batch
-engine (:mod:`repro.engine.batch`) against chunked per-run counts
-dispatch on the naming workload at R replicates per cell (runs/s and
-pooled interactions/s), via :func:`~repro.engine.ensemble.run_ensemble`
-under both engines; ``--ensemble-floor`` gates the batch engine's rate
-at the widest cell the same way ``--floor`` gates the counts backend,
-and ``--ensemble-ratio-floor`` gates the batch/counts rate *ratio* at
-the widest cell of the largest measured population - a
-machine-independent check that the lockstep engine no longer loses to
-chunked per-run counts in its target regime, many replicates at
-N = 10^5 (the regression recorded by the pre-fix reports).  Each cell
-is timed best-of-two, so a scheduler hiccup on a shared machine cannot
-trip a ratio gate.
+The run is also a differential check.  ``fast`` must return results
+equal to ``reference``'s, ``warm`` and ``memo`` ensembles must equal
+``cold``'s, and the warm pass must not hit the result memo; otherwise
+the bench raises :class:`~repro.errors.SimulationError`.
 
-A third, leap-throughput section compares the approximate multinomial
-leap backend (:mod:`repro.engine.leap`) against the exact counts
-backend on the naming workload at N = 10^6, where per-interaction cost
-is the binding constraint; ``--leap-floor`` gates the *ratio* of the
-two rates (the leap backend's headline claim is its speedup over exact
-counts stepping, which is machine-independent, unlike absolute rates).
-
-A fourth, bleap section measures the batched tau-leaping ensemble
-engine (:mod:`repro.engine.bleap`) against chunked per-run counts
-dispatch at N = 10^5 and R = 256 - the regime the engine exists for:
-populations large enough for multinomial windows to engage, replicate
-counts wide enough for lockstep batching to amortize kernel overhead.
-``--bleap-floor`` gates the bleap/counts rate ratio the same way
-``--leap-floor`` gates the single-run leap engine.
-
-A fifth, fluid section measures the mean-field fluid tier
-(:mod:`repro.engine.fluid`) against the stochastic leap backend on the
-full ``10 N`` naming horizon at N = 10^8, *end to end*: the leap cell
-pays the O(N) agent-vector round-trip (initial-configuration
-construction, state-tally interning, final materialization) that
-dominates beyond N = 10^7, while the fluid cell runs counts-native
-(:meth:`~repro.engine.fluid.FluidSimulator.run_counts`) and
-fast-forwards the deterministic transient by ODE.  ``--fluid-floor``
-gates the fluid/leap *wall-clock* ratio - the tier's headline claim is
-completing horizons whose agent vectors are not worth (or beyond N =
-10^9, not possible) building.
-
-A sixth, parallel section measures the zero-copy shared-memory
-sharding layer (:mod:`repro.engine.parallel`): the bleap engine at
-R = 1024 replicates and N = 10^5, serial versus sharded across worker
-processes, plus the symbolic checker's frontier expansion
-(:func:`repro.analysis.symbolic.reach`), serial versus sharded.  Both
-pairs are bit-identical by construction, so the cells measure pure
-transport and parallelism; ``--parallel-floor`` gates the
-sharded/serial rate *ratio* on the lockstep pair, and self-skips
-(reporting the ratio) on hosts with fewer than ``PARALLEL_MIN_CORES``
-cores, where the ratio measures oversubscription rather than the
-transport.
-
-Sections can be selected individually with ``--sections`` (comma-
-separated names from ``backends``, ``ensemble``, ``leap``, ``bleap``,
-``fluid``, ``parallel``), so CI perf gates re-time only the sections
-they gate; a floor flag whose section was deselected is a usage error.
-
-The JSON report carries an ``environment`` block (NumPy version, CPU
-count, git revision) so regressions flagged by the floor gates can be
-attributed to code versus machine changes, a ``section_seconds`` block
-(wall-clock per section that ran, harness overhead included) and its
-``total_seconds`` sum.
+:data:`GATES` are the CI floors.  Each names a full-size cell, a
+quantity (``rate``, work per second; ``rate ratio`` and ``wall ratio``,
+against the cell's baseline) and a floor, and may need a minimum core
+count, below which its value is reported and the gate skipped.  A
+full-size run checks the gates of every section it ran and exits 1 when
+one fails; a ``--smoke`` run checks none.  ``python -m repro bench``
+prints one table per section and writes ``BENCH_simulator.json``: every
+point with its ratio to its baseline, an ``environment`` block (NumPy
+version, CPU count, git revision), the wall clock of each section that
+ran, harness included (``section_seconds``), and their sum
+(``total_seconds``).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.engine.configuration import Configuration
 from repro.engine.ensemble import run_ensemble
-from repro.engine.fast import BACKENDS, make_simulator
+from repro.engine.fast import make_simulator
 from repro.engine.fluid import FluidSimulator
 from repro.engine.population import Population
 from repro.engine.problems import NamingProblem
 from repro.engine.protocol import PopulationProtocol
+from repro.engine.simulator import RunStats
 from repro.engine.state import State
 from repro.errors import SimulationError
 from repro.experiments.report import render_table
 from repro.schedulers.random_pair import RandomPairScheduler
-
-#: Population sizes measured by default.
-DEFAULT_SIZES = (10, 100, 1000)
 
 #: Default scheduler seed (the paper's year, as elsewhere in the harness).
 DEFAULT_SEED = 2018
@@ -126,69 +98,46 @@ DEFAULT_SEED = 2018
 DEFAULT_OUT = "BENCH_simulator.json"
 
 #: Largest population the O(N)-per-interaction reference backend is
-#: timed at; beyond this it is skipped (the fast/counts cells remain).
+#: timed at; the backend ladder leaves it out above this size.
 REFERENCE_MAX_N = 2_000
 
-#: Population sizes of the ensemble-throughput section.
-ENSEMBLE_SIZES = (1_000, 100_000)
+#: The bench sections in run order; ``--sections`` selects a subset.
+SECTIONS = (
+    "backends", "ensemble", "leap", "bleap", "fluid", "parallel", "serve"
+)
 
-#: Replicate counts of the ensemble-throughput section.
-ENSEMBLE_REPLICATES = (64, 256)
+#: Sections timed end to end: a cell's ratio to its baseline compares
+#: wall clocks (the cells finish the same horizon or the same jobs)
+#: rather than rates.
+END_TO_END = ("fluid", "serve")
 
-#: Interaction budget per replicate in the ensemble section (scaled by
-#: ``--scale``/``--smoke`` like the per-run budgets).
-ENSEMBLE_BUDGET = 20_000
+#: ``(engine, baseline)`` pairs whose results must be identical.
+IDENTICAL = frozenset(
+    {("fast", "reference"), ("warm", "cold"), ("memo", "cold")}
+)
 
-#: Population size of the bleap section: the large-N regime where both
-#: lockstep batching and multinomial windowing engage.
-BLEAP_N = 100_000
+#: Shape of the serve burst: :data:`SERVE_JOBS` jobs cycling through the
+#: naming bounds :data:`SERVE_BOUNDS`, each with its own seed set, on
+#: :data:`SERVE_WORKERS` workers.  Small jobs, so per-call setup is the
+#: dominant cost: the regime the serving layer exists for.
+SERVE_JOBS = 16
+SERVE_BOUNDS = (4, 6, 8)
+SERVE_WORKERS = 2
 
-#: Replicate count of the bleap section (the engine's headline width).
-BLEAP_REPLICATES = 256
-
-#: Interaction budget per replicate in the bleap section (scaled by
-#: ``--scale``/``--smoke``).  Larger than the ensemble section's budget:
-#: at N = 10^5 a 2N-interaction run actually exercises the multinomial
-#: windowing regime, while 20k interactions are a warm-up sliver where
-#: fixed per-run costs dominate every engine equally.
-BLEAP_BUDGET = 200_000
-
-#: Population size of the leap-throughput section: large enough that
-#: per-interaction cost is the binding constraint for exact backends.
-LEAP_N = 1_000_000
-
-#: Interaction budget of the leap section (scaled by ``--scale``).
-LEAP_BUDGET = 10_000_000
-
-#: Population size of the fluid section: the regime where the O(N)
-#: agent-vector edges (initial construction, interning, final
-#: materialization) dominate the leap backend's end-to-end wall-clock
-#: and the counts-native fluid pipeline side-steps them.
-FLUID_N = 100_000_000
-
-#: Population size of the parallel section's lockstep cells.
-PARALLEL_N = 100_000
-
-#: Replicate count of the parallel section: wide enough that sharding
-#: the (R, S) lockstep matrix across workers has real work per shard.
-PARALLEL_REPLICATES = 1024
-
-#: Interaction budget per replicate in the parallel section (scaled by
-#: ``--scale``/``--smoke``), matching the bleap section's regime.
-PARALLEL_BUDGET = 200_000
-
-#: Cores below which the ``--parallel-floor`` gate reports and skips:
-#: a sharded run cannot beat serial without cores to shard across, so
-#: the floor is only meaningful on real multi-core hosts.
+#: Cores below which the sharded/serial gate reports and skips: a
+#: sharded run cannot beat serial without cores to shard across.
 PARALLEL_MIN_CORES = 4
 
-#: Name bound / mobile population of the parallel section's checker
-#: frontier cells (the full-scale instance; smoke shrinks it).
-PARALLEL_CHECK_BOUND = 10
-PARALLEL_CHECK_N = 12
-
-#: The bench section names selectable via ``--sections``.
-SECTIONS = ("backends", "ensemble", "leap", "bleap", "fluid", "parallel")
+_TITLES = {
+    "backends": "simulator backend throughput (uniform random scheduler)",
+    "ensemble": "ensemble throughput (chunked counts vs batch, n_jobs=1)",
+    "leap": "leap throughput (counts vs leap)",
+    "bleap": "bleap throughput (chunked counts vs bleap ensembles)",
+    "fluid": "fluid fast-forward (leap vs fluid, end to end)",
+    "parallel": "parallel execution (shared-memory sharding vs serial)",
+    "serve": "serving layer (cold per-call run_ensemble vs warm pool "
+             "vs result memo)",
+}
 
 try:  # Provenance only; the engines guard their own NumPy use.
     import numpy as _np
@@ -234,945 +183,515 @@ def _safe_rate(work: float, seconds: float) -> float:
     ``seconds == 0`` happens when a run finishes inside one timer tick
     (coarse clocks, trivial budgets).  Dividing would raise
     ``ZeroDivisionError``; returning ``0.0`` would make an *infinitely
-    fast* run read as infinitely slow and spuriously trip the
-    ``--floor``/``--ensemble-floor``/``--leap-floor`` perf gates.  The
-    sentinel is therefore ``float("inf")`` when work was done in zero
-    measured time, and ``0.0`` only when no work was done at all.
+    fast* run read as infinitely slow and spuriously trip the gates.
+    The sentinel is therefore ``float("inf")`` when work was done in
+    zero measured time, and ``0.0`` only when no work was done at all.
     """
     if seconds > 0:
         return work / seconds
     return float("inf") if work > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class BenchPoint:
-    """One (workload, backend, N) throughput measurement."""
+class Cell(NamedTuple):
+    """One row of the bench table: what to time, and at what size.
 
+    ``baseline`` names the engine this cell is compared with, measured
+    in the same section, workload, ``n`` and ``r`` (``None`` for a
+    baseline).  ``workload`` is ``naming`` (bound 8), ``naming P=k``
+    (bound ``k``) or ``churn``; ``start`` is one of the starts of the
+    module docstring; ``budget`` is the interaction budget per
+    replicate; ``repeats`` counts the timed repeats, the fastest kept.
+    """
+
+    section: str
     workload: str
-    backend: str
-    n_mobile: int
-    interactions: int
-    non_null_interactions: int
-    seconds: float
+    engine: str
+    baseline: str | None
+    start: str
+    n: int
+    r: int
+    budget: int
+    repeats: int = 1
 
     @property
-    def rate(self) -> float:
-        """Interactions per second (see :func:`_safe_rate` for the
-        zero-time sentinel)."""
-        return _safe_rate(self.interactions, self.seconds)
+    def key(self) -> tuple[str, str, str, int, int]:
+        """``(section, workload, engine, n, r)``: what gates refer to."""
+        return (self.section, self.workload, self.engine, self.n, self.r)
 
 
-def workloads() -> dict[str, PopulationProtocol]:
-    """The benchmarked protocols, by workload name."""
-    return {
-        "naming": AsymmetricNamingProtocol(8),
-        "churn": ChurnProtocol(),
-    }
+class Gate(NamedTuple):
+    """A CI floor: the cell keyed ``cell`` must reach ``floor``.
 
-
-def _budget(n_mobile: int, scale: float) -> int:
-    """Interaction budget for a population size (same for all backends).
-
-    Small populations get budgets inversely proportional to N (the
-    reference backend pays O(N) per interaction); large populations -
-    where only the fast and counts backends run - get ``10 * N`` capped
-    at two million, enough interactions for the rates to stabilize.
+    ``quantity`` is ``"rate"`` (work per second), ``"rate ratio"`` (the
+    cell's rate over its baseline's) or ``"wall ratio"`` (the baseline's
+    seconds over the cell's).  On hosts with fewer than ``min_cores``
+    cores the value is reported and the gate skipped.
     """
-    if n_mobile >= 10_000:
-        base = min(10 * n_mobile, 2_000_000)
-    else:
-        base = max(50_000, 2_000_000 // n_mobile)
-    return max(2_000, int(base * scale))
+
+    cell: tuple[str, str, str, int, int]
+    quantity: str
+    floor: float
+    min_cores: int = 1
 
 
-def _spread_initial(
-    protocol: PopulationProtocol, population: Population
-) -> Configuration:
-    """Deal the protocol's mobile states round-robin over the agents.
+def _ladder(workload: str, n: int, budget: int) -> tuple[Cell, ...]:
+    """The per-run backend ladder at one size: ``reference`` (up to
+    :data:`REFERENCE_MAX_N` agents), ``fast``, ``counts``, each cell
+    compared with the engine before it."""
+    engines = ("fast", "counts")
+    if n <= REFERENCE_MAX_N:
+        engines = ("reference", *engines)
+    return tuple(
+        Cell("backends", workload, engine, baseline, "spread", n, 1, budget)
+        for baseline, engine in zip((None, *engines), engines)
+    )
 
-    Keeps the null/non-null interaction mix stationary from the first
-    interaction, so the bench measures steady per-interaction cost
-    rather than the protocol's transient from a uniform start.
+
+def _pair(
+    section: str,
+    workload: str,
+    engine: str,
+    baseline: str,
+    start: str,
+    n: int,
+    r: int,
+    budget: int,
+    repeats: int = 1,
+) -> tuple[Cell, Cell]:
+    """The ``baseline`` cell, then ``engine`` against it at the same size
+    (the baseline runs first, so a crash cannot hide its number)."""
+    return (
+        Cell(section, workload, baseline, None, start, n, r, budget, repeats),
+        Cell(section, workload, engine, baseline, start, n, r, budget,
+             repeats),
+    )
+
+
+#: The default run.  ``_pair`` columns: section, workload, engine,
+#: baseline, start, N, R, budget per replicate, repeats.
+FULL_CELLS: tuple[Cell, ...] = (
+    *_ladder("naming", 10, 200_000),
+    *_ladder("naming", 100, 50_000),
+    *_ladder("naming", 1_000, 50_000),
+    *_ladder("churn", 10, 200_000),
+    *_ladder("churn", 100, 50_000),
+    *_ladder("churn", 1_000, 50_000),
+    *_ladder("naming", 100_000, 1_000_000),
+    *_pair("ensemble", "naming", "batch", "counts", "spread",
+           1_000, 64, 20_000, 3),
+    *_pair("ensemble", "naming", "batch", "counts", "spread",
+           1_000, 256, 20_000, 3),
+    *_pair("ensemble", "naming", "batch", "counts", "spread",
+           100_000, 64, 20_000, 3),
+    *_pair("ensemble", "naming", "batch", "counts", "spread",
+           100_000, 256, 20_000, 3),
+    *_pair("leap", "naming", "leap", "counts", "uniform",
+           1_000_000, 1, 10_000_000),
+    *_pair("bleap", "naming", "bleap", "counts", "uniform",
+           100_000, 256, 200_000, 2),
+    *_pair("fluid", "naming", "fluid", "leap", "zeros",
+           100_000_000, 1, 1_000_000_000),
+    *_pair("parallel", "naming", "sharded", "bleap", "uniform",
+           100_000, 1_024, 200_000),
+    *_pair("parallel", "naming P=10", "sharded", "reach", "roots",
+           12, 1, 0),
+    *_pair("serve", "naming", "warm", "cold", "uniform", 100, 6, 2_500, 3),
+    Cell("serve", "naming", "memo", "cold", "uniform", 100, 6, 2_500, 3),
+)
+
+#: The cells of CI's smoke step: every engine and the differential
+#: check on tiny budgets.  Not a performance gate.
+SMOKE_CELLS: tuple[Cell, ...] = (
+    *_ladder("naming", 6, 6_666),
+    *_ladder("naming", 25, 2_000),
+    *_ladder("churn", 6, 6_666),
+    *_ladder("churn", 25, 2_000),
+    *_pair("ensemble", "naming", "batch", "counts", "spread",
+           12, 4, 1_000, 3),
+    *_pair("ensemble", "naming", "batch", "counts", "spread",
+           12, 8, 1_000, 3),
+    *_pair("leap", "naming", "leap", "counts", "uniform",
+           50_000, 1, 200_000),
+    *_pair("bleap", "naming", "bleap", "counts", "uniform",
+           20_000, 8, 4_000, 2),
+    *_pair("fluid", "naming", "fluid", "leap", "zeros",
+           100_000, 1, 100_000),
+    *_pair("parallel", "naming", "sharded", "bleap", "uniform",
+           100_000, 32, 4_000),
+    *_pair("parallel", "naming P=6", "sharded", "reach", "roots",
+           9, 1, 0),
+)
+
+#: The CI floors, checked by every full-size run.
+GATES: tuple[Gate, ...] = (
+    Gate(("backends", "naming", "counts", 100_000, 1), "rate", 1_000_000),
+    Gate(("ensemble", "naming", "batch", 100_000, 256), "rate", 2_000_000),
+    Gate(("ensemble", "naming", "batch", 100_000, 256), "rate ratio", 1.0),
+    Gate(("leap", "naming", "leap", 1_000_000, 1), "rate ratio", 10),
+    Gate(("bleap", "naming", "bleap", 100_000, 256), "rate ratio", 5),
+    Gate(("fluid", "naming", "fluid", 100_000_000, 1), "wall ratio", 10),
+    Gate(("parallel", "naming", "sharded", 100_000, 1_024), "rate ratio",
+         2, PARALLEL_MIN_CORES),
+    Gate(("serve", "naming", "warm", 100, 6), "wall ratio", 3),
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class BenchPoint:
+    """One measured cell.
+
+    ``work`` counts interactions (pooled over replicates and jobs), or
+    quotient nodes for the ``reach`` engine; ``seconds`` is the fastest
+    repeat.  ``stats`` holds the non-null interaction count
+    (``non_null``), the optional :class:`~repro.engine.simulator.RunStats`
+    fields the run filled in (window, ODE and shared-memory counters),
+    the worker count of a sharded cell (``jobs``) and the memo hits of a
+    served pass (``memo_hits``).
     """
-    space = sorted(protocol.mobile_state_space())
-    states = tuple(space[i % len(space)] for i in range(population.size))
-    return Configuration(states, None)
 
-
-def run_bench(
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-) -> list[BenchPoint]:
-    """Measure every (workload, N, backend) cell.
-
-    Both backends run the same protocol, seed and budget; their results
-    are compared for equality (a run-time differential check) before the
-    timings are reported.
-    """
-    points: list[BenchPoint] = []
-    for workload, protocol in workloads().items():
-        for n in sizes:
-            budget = _budget(n, scale)
-            outcomes = {}
-            for backend in sorted(BACKENDS):
-                if backend == "reference" and n > REFERENCE_MAX_N:
-                    continue  # O(N) per interaction: prohibitive here
-                if backend == "batch":
-                    # An ensemble engine: a width-1 lockstep batch only
-                    # measures kernel-launch overhead.  Benchmarked at
-                    # its real width in the ensemble section instead.
-                    continue
-                if backend == "leap":
-                    # Approximate window-aggregation engine: at the
-                    # small grid sizes it runs as exact SSA anyway.
-                    # Benchmarked at N = 10^6 in the leap section
-                    # instead, where windowing actually engages.
-                    continue
-                if backend == "bleap":
-                    # Batched tau-leaping ensemble engine: a width-1
-                    # run measures neither batching nor windowing.
-                    # Benchmarked at its real width and size in the
-                    # bleap section instead.
-                    continue
-                if backend == "fluid":
-                    # Mean-field fast-forward engine: at grid sizes the
-                    # whole run is stochastic (it hands off to leap at
-                    # interaction 0).  Benchmarked at N = 10^8 in the
-                    # fluid section instead, where the ODE and the
-                    # counts-native pipeline actually engage.
-                    continue
-                population = Population(n)
-                scheduler = RandomPairScheduler(population, seed=seed)
-                simulator = make_simulator(
-                    backend, protocol, population, scheduler, NamingProblem()
-                )
-                initial = _spread_initial(protocol, population)
-                start = time.perf_counter()
-                result = simulator.run(initial, max_interactions=budget)
-                elapsed = time.perf_counter() - start
-                outcomes[backend] = result
-                points.append(
-                    BenchPoint(
-                        workload=workload,
-                        backend=backend,
-                        n_mobile=n,
-                        interactions=result.interactions,
-                        non_null_interactions=result.non_null_interactions,
-                        seconds=elapsed,
-                    )
-                )
-            # The fast backend consumes the scheduler stream identically
-            # to the reference loop, so their results must be equal (the
-            # counts backend uses its own randomness and is validated
-            # statistically in the test suite).
-            if (
-                "reference" in outcomes
-                and outcomes["fast"] != outcomes["reference"]
-            ):
-                raise SimulationError(
-                    f"backend divergence on workload {workload!r} at "
-                    f"N={n}, seed={seed}: fast and reference results differ"
-                )
-    return points
-
-
-@dataclass(frozen=True)
-class EnsembleBenchPoint:
-    """One (engine, N, R) ensemble-throughput measurement."""
-
+    section: str
+    workload: str
     engine: str
+    baseline: str | None
     n_mobile: int
     replicates: int
-    interactions: int
-    non_null_interactions: int
+    work: int
     seconds: float
+    stats: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def key(self) -> tuple[str, str, str, int, int]:
+        """``(section, workload, engine, n_mobile, replicates)``."""
+        return (
+            self.section, self.workload, self.engine, self.n_mobile,
+            self.replicates,
+        )
 
     @property
     def rate(self) -> float:
-        """Pooled interactions per second across the ensemble (see
-        :func:`_safe_rate` for the zero-time sentinel)."""
-        return _safe_rate(self.interactions, self.seconds)
+        """Work per second (see :func:`_safe_rate` for the zero-time
+        sentinel)."""
+        return _safe_rate(self.work, self.seconds)
 
     @property
     def runs_per_second(self) -> float:
-        """Completed replicate runs per second (see :func:`_safe_rate`
-        for the zero-time sentinel)."""
+        """Replicates per second (see :func:`_safe_rate`)."""
         return _safe_rate(self.replicates, self.seconds)
 
 
-def _bench_scheduler(population: Population, seed: int):
-    """Module-level scheduler factory for the ensemble section."""
+#: The optional :class:`RunStats` fields a point reports when set.
+_STAT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(RunStats) if f.default is None
+)
+
+
+def _summary(results, stats: RunStats | None) -> tuple[int, dict]:
+    """Pooled interactions of ``results`` and a point's stats dict."""
+    summary = {"non_null": sum(r.non_null_interactions for r in results)}
+    for name in _STAT_FIELDS:
+        value = getattr(stats, name, None)
+        if value is not None:
+            summary[name] = value
+    return sum(r.interactions for r in results), summary
+
+
+def _protocol(workload: str) -> PopulationProtocol:
+    """The protocol a workload names (see :class:`Cell`)."""
+    if workload == "churn":
+        return ChurnProtocol()
+    return AsymmetricNamingProtocol(int(workload.partition("P=")[2] or 8))
+
+
+def _initial(
+    start: str, protocol: PopulationProtocol, population: Population
+) -> Configuration:
+    """The ``spread``, ``uniform`` or ``zeros`` start configuration."""
+    if start == "spread":
+        space = sorted(protocol.mobile_state_space())
+        return Configuration(
+            tuple(space[i % len(space)] for i in range(population.size)),
+            None,
+        )
+    if start == "uniform":
+        return Configuration.uniform(population, 0)
+    return Configuration((0,) * population.size, None)
+
+
+def _scheduler(population: Population, seed: int) -> RandomPairScheduler:
+    """Picklable scheduler factory: uniform random pairs."""
     return RandomPairScheduler(population, seed=seed)
 
 
-class _SpreadInitialFactory:
-    """Seed-independent spread initial, built once per population size.
+def _uniform(population: Population, seed: int) -> Configuration:
+    """Picklable initial factory of the serve jobs: the uniform start."""
+    return Configuration.uniform(population, 0)
 
-    The spread configuration does not depend on the seed, so building it
-    per replicate would charge O(R * N) pure-Python tuple construction
-    to both engines and drown the quantity under measurement.
-    """
 
-    def __init__(self, protocol: PopulationProtocol) -> None:
-        self.protocol = protocol
-        self._cache: dict[int, Configuration] = {}
+class _Prebuilt:
+    """Picklable initial factory returning one configuration built
+    before the timer, so no replicate pays O(N) construction."""
+
+    def __init__(self, config: Configuration) -> None:
+        self.config = config
 
     def __call__(self, population: Population, seed: int) -> Configuration:
-        config = self._cache.get(population.size)
-        if config is None:
-            config = _spread_initial(self.protocol, population)
-            self._cache[population.size] = config
-        return config
+        return self.config
 
 
-def run_ensemble_bench(
-    sizes: tuple[int, ...] = ENSEMBLE_SIZES,
-    replicates: tuple[int, ...] = ENSEMBLE_REPLICATES,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-) -> list[EnsembleBenchPoint]:
-    """Measure ensemble throughput: lockstep batch vs per-run counts.
-
-    Both engines run the identical naming workload - same seeds, same
-    spread initial, same per-replicate budget - through
-    :func:`~repro.engine.ensemble.run_ensemble` with ``n_jobs=1``, so
-    the comparison isolates lockstep batching from process parallelism
-    (the two compose: each worker of a parallel ensemble runs its chunk
-    as a lockstep batch).
-    """
-    protocol = workloads()["naming"]
-    budget = max(1_000, int(ENSEMBLE_BUDGET * scale))
-    points: list[EnsembleBenchPoint] = []
-    for n in sizes:
-        population = Population(n)
-        initial_factory = _SpreadInitialFactory(protocol)
-        for r in replicates:
-            seeds = range(seed, seed + r)
-            for engine in ("counts", "batch"):
-                # Best-of-three: the runs are seed-identical, so the
-                # fastest repeat is the same computation with less
-                # scheduler noise - the number the ratio gates need.
-                # The batch/counts gate sits near 1x by design (the
-                # lockstep win over chunked counts is structural but
-                # modest), so this cell gets one more repeat than the
-                # backend ladder to keep the ratio stable in CI.
-                elapsed = math.inf
-                for _ in range(3):
-                    start = time.perf_counter()
-                    ensemble = run_ensemble(
-                        protocol,
-                        population,
-                        _bench_scheduler,
-                        initial_factory,
-                        NamingProblem(),
-                        seeds=seeds,
-                        max_interactions=budget,
-                        backend=engine,
-                    )
-                    elapsed = min(
-                        elapsed, time.perf_counter() - start
-                    )
-                points.append(
-                    EnsembleBenchPoint(
-                        engine=engine,
-                        n_mobile=n,
-                        replicates=r,
-                        interactions=sum(
-                            res.interactions for res in ensemble.results
-                        ),
-                        non_null_interactions=sum(
-                            res.non_null_interactions
-                            for res in ensemble.results
-                        ),
-                        seconds=elapsed,
-                    )
-                )
-    return points
+def _timed(run, *args, **kwargs):
+    """``(seconds, run(*args, **kwargs))``."""
+    start = time.perf_counter()
+    value = run(*args, **kwargs)
+    return time.perf_counter() - start, value
 
 
-def ensemble_speedups(
-    points: list[EnsembleBenchPoint],
-) -> dict[str, dict[str, float]]:
-    """Batch-over-counts rate ratios, ``{str(N): {"R=r": ratio}}``."""
-    rates: dict[tuple[int, int], dict[str, float]] = {}
-    for p in points:
-        rates.setdefault((p.n_mobile, p.replicates), {})[p.engine] = p.rate
-    out: dict[str, dict[str, float]] = {}
-    for (n, r), per_engine in sorted(rates.items()):
-        counts = per_engine.get("counts")
-        batch = per_engine.get("batch")
-        if counts and batch:
-            out.setdefault(str(n), {})[f"R={r}"] = batch / counts
-    return out
+# Runners: one per kind of work.  Each times one repeat of ``cell`` on
+# ``engine`` over ``jobs`` workers and returns ``(seconds, work, stats,
+# outcome)``; ``outcome`` is what the differential check compares.
 
 
-def ensemble_floor_rate(points: list[EnsembleBenchPoint]) -> float | None:
-    """The batch engine's rate at the widest, largest measured cell.
-
-    The headline claim of the batch engine is many-replicate throughput,
-    so the ``--ensemble-floor`` gate guards the cell with the most
-    replicates (ties broken by population size).  Returns ``None`` when
-    no batch cell was measured.
-    """
-    cells = [p for p in points if p.engine == "batch"]
-    if not cells:
-        return None
-    return max(cells, key=lambda p: (p.replicates, p.n_mobile)).rate
-
-
-def ensemble_ratio_floor(points: list[EnsembleBenchPoint]) -> float | None:
-    """Batch/counts rate ratio at the widest cell of the largest N.
-
-    The machine-independent number the ``--ensemble-ratio-floor`` gate
-    guards: in the batch engine's target regime - the cell with the
-    most replicates at the largest measured population - lockstep
-    batching must keep up with chunked per-run counts dispatch (a ratio
-    >= 1 means the regression is fixed; the pre-fix kernel dipped to
-    ~0.5x at N = 10^5).  Narrow cells are reported in the table but not
-    gated: with few rows the vectorized step cannot amortize its
-    dispatch overhead against the counts backend's scalar loop, which
-    is exactly why ``backend="auto"`` hands large-N ensembles to bleap.
-    Returns ``None`` when no complete cell was measured.
-    """
-    ratios = ensemble_speedups(points)
-    if not ratios:
-        return None
-    largest = max(ratios, key=int)
-    cells = ratios[largest]
-    if not cells:
-        return None
-    widest = max(cells, key=lambda k: int(k.split("=", 1)[1]))
-    return cells[widest]
-
-
-def render_ensemble_points(points: list[EnsembleBenchPoint]) -> str:
-    """Render the ensemble measurements as an aligned text table."""
-    ratio = ensemble_speedups(points)
-    rows = []
-    for p in points:
-        shown = ""
-        if p.engine == "batch":
-            pair = ratio.get(str(p.n_mobile), {}).get(f"R={p.replicates}")
-            shown = f"{pair:.1f}x vs counts" if pair else ""
-        rows.append(
-            (
-                p.n_mobile,
-                p.replicates,
-                p.engine,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.runs_per_second:,.1f}/s",
-                f"{p.rate:,.0f}/s",
-                shown,
-            )
-        )
-    return render_table(
-        ("N", "R", "engine", "time", "runs", "interactions", "speedup"),
-        rows,
-        title="ensemble throughput (naming workload, n_jobs=1)",
-    )
-
-
-@dataclass(frozen=True)
-class LeapBenchPoint:
-    """One (backend, N) leap-section throughput measurement.
-
-    ``leaps``/``mean_tau``/``repairs`` mirror the leap fields of
-    :class:`~repro.engine.simulator.RunStats` and are ``None`` for the
-    exact counts baseline.
-    """
-
-    backend: str
-    n_mobile: int
-    interactions: int
-    non_null_interactions: int
-    seconds: float
-    leaps: int | None = None
-    mean_tau: float | None = None
-    repairs: int | None = None
-
-    @property
-    def rate(self) -> float:
-        """Interactions per second (see :func:`_safe_rate` for the
-        zero-time sentinel)."""
-        return _safe_rate(self.interactions, self.seconds)
-
-
-def run_leap_bench(
-    n: int = LEAP_N,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-    leap_eps: float | None = None,
-) -> list[LeapBenchPoint]:
-    """Measure the leap backend against exact counts at large N.
-
-    Both backends run the identical naming workload - same protocol,
-    seed, spread initial and interaction budget - so the rate ratio
-    isolates multinomial window aggregation from everything else.  The
-    counts baseline runs first, so a leap-side crash cannot hide the
-    exact number.
-    """
-    protocol = workloads()["naming"]
-    budget = max(50_000, int(LEAP_BUDGET * scale))
-    points: list[LeapBenchPoint] = []
-    population = Population(n)
-    # One shared immutable start: both backends intern the identical
-    # configuration (its state tally is cached on the instance), so the
-    # measured gap is the per-interaction engines, not setup.
-    initial = _spread_initial(protocol, population)
-    for backend in ("counts", "leap"):
-        scheduler = RandomPairScheduler(population, seed=seed)
-        simulator = make_simulator(
-            backend,
-            protocol,
-            population,
-            scheduler,
-            NamingProblem(),
-            leap_eps=leap_eps if backend == "leap" else None,
-        )
-        start = time.perf_counter()
-        result = simulator.run(initial, max_interactions=budget)
-        elapsed = time.perf_counter() - start
-        stats = result.stats
-        points.append(
-            LeapBenchPoint(
-                backend=backend,
-                n_mobile=n,
-                interactions=result.interactions,
-                non_null_interactions=result.non_null_interactions,
-                seconds=elapsed,
-                leaps=getattr(stats, "leaps", None),
-                mean_tau=getattr(stats, "mean_tau", None),
-                repairs=getattr(stats, "repairs", None),
-            )
-        )
-    return points
-
-
-def leap_speedup(points: list[LeapBenchPoint]) -> float | None:
-    """Leap-over-counts rate ratio, or ``None`` if a cell is missing."""
-    rates = {p.backend: p.rate for p in points}
-    counts = rates.get("counts")
-    leap = rates.get("leap")
-    if not counts or not leap:
-        return None
-    return leap / counts
-
-
-def render_leap_points(points: list[LeapBenchPoint]) -> str:
-    """Render the leap measurements as an aligned text table."""
-    ratio = leap_speedup(points)
-    rows = []
-    for p in points:
-        if p.leaps is not None:
-            detail = (
-                f"{p.leaps} leaps, mean tau {p.mean_tau:,.0f}, "
-                f"{p.repairs} repairs"
-            )
-            shown = f"{ratio:.1f}x vs counts" if ratio else ""
-        else:
-            detail = "exact baseline"
-            shown = ""
-        rows.append(
-            (
-                p.n_mobile,
-                p.backend,
-                p.interactions,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.rate:,.0f}/s",
-                detail,
-                shown,
-            )
-        )
-    return render_table(
-        ("N", "backend", "interactions", "time", "rate", "windows",
-         "speedup"),
-        rows,
-        title="leap throughput (naming workload, counts vs leap)",
-    )
-
-
-@dataclass(frozen=True)
-class BleapBenchPoint(EnsembleBenchPoint):
-    """One (engine, N, R) bleap-section measurement.
-
-    Extends the ensemble point with the aggregated leap statistics of
-    :class:`~repro.engine.ensemble.EnsembleResult`; the fields stay
-    ``None`` for the exact counts baseline.
-    """
-
-    leaps: int | None = None
-    mean_tau: float | None = None
-    repairs: int | None = None
-    ssa_fallback_rows: int | None = None
-
-
-def run_bleap_bench(
-    n: int = BLEAP_N,
-    replicates: int = BLEAP_REPLICATES,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-) -> list[BleapBenchPoint]:
-    """Measure the bleap engine against chunked per-run counts dispatch.
-
-    Both engines run the identical naming workload - same seeds, same
-    spread initial, same per-replicate budget (:data:`BLEAP_BUDGET`,
-    deep enough that the multinomial windows engage) - through
-    :func:`~repro.engine.ensemble.run_ensemble` with ``n_jobs=1``.  The
-    counts baseline runs first, so a bleap-side crash cannot hide the
-    exact number.
-    """
-    protocol = workloads()["naming"]
-    budget = max(1_000, int(BLEAP_BUDGET * scale))
-    population = Population(n)
-    initial_factory = _SpreadInitialFactory(protocol)
-    seeds = range(seed, seed + replicates)
-    points: list[BleapBenchPoint] = []
-    for engine in ("counts", "bleap"):
-        # Best-of-two, like the ensemble section: same seeds, same
-        # computation, the faster repeat carries less machine noise.
-        elapsed = math.inf
-        for _ in range(2):
-            start = time.perf_counter()
-            ensemble = run_ensemble(
-                protocol,
-                population,
-                _bench_scheduler,
-                initial_factory,
-                NamingProblem(),
-                seeds=seeds,
-                max_interactions=budget,
-                backend=engine,
-            )
-            elapsed = min(elapsed, time.perf_counter() - start)
-        stats = ensemble.stats
-        points.append(
-            BleapBenchPoint(
-                engine=engine,
-                n_mobile=n,
-                replicates=replicates,
-                interactions=sum(
-                    res.interactions for res in ensemble.results
-                ),
-                non_null_interactions=sum(
-                    res.non_null_interactions for res in ensemble.results
-                ),
-                seconds=elapsed,
-                leaps=stats.leaps,
-                mean_tau=stats.mean_tau,
-                repairs=stats.repairs,
-                ssa_fallback_rows=stats.ssa_fallback_rows,
-            )
-        )
-    return points
-
-
-def bleap_speedup(points: list[BleapBenchPoint]) -> float | None:
-    """Bleap-over-counts rate ratio, or ``None`` if a cell is missing."""
-    rates = {p.engine: p.rate for p in points}
-    counts = rates.get("counts")
-    bleap = rates.get("bleap")
-    if not counts or not bleap:
-        return None
-    return bleap / counts
-
-
-def render_bleap_points(points: list[BleapBenchPoint]) -> str:
-    """Render the bleap measurements as an aligned text table."""
-    ratio = bleap_speedup(points)
-    rows = []
-    for p in points:
-        if p.leaps is not None:
-            detail = (
-                f"{p.leaps} leaps, mean tau {p.mean_tau:,.0f}, "
-                f"{p.ssa_fallback_rows} SSA rows"
-            )
-            shown = f"{ratio:.1f}x vs counts" if ratio else ""
-        else:
-            detail = "exact baseline"
-            shown = ""
-        rows.append(
-            (
-                p.n_mobile,
-                p.replicates,
-                p.engine,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.runs_per_second:,.1f}/s",
-                f"{p.rate:,.0f}/s",
-                detail,
-                shown,
-            )
-        )
-    return render_table(
-        ("N", "R", "engine", "time", "runs", "interactions", "windows",
-         "speedup"),
-        rows,
-        title="bleap throughput (naming ensembles, counts vs bleap)",
-    )
-
-
-@dataclass(frozen=True)
-class FluidBenchPoint:
-    """One (backend, N) fluid-section measurement.
-
-    Unlike the other sections, ``seconds`` is end to end: the leap cell
-    includes building its O(N) agent-vector initial configuration, the
-    fluid cell the O(|states|) counts mapping it runs from.  The ODE
-    fields mirror :class:`~repro.engine.simulator.RunStats` and are
-    ``None`` for the stochastic leap baseline.
-    """
-
-    backend: str
-    n_mobile: int
-    interactions: int
-    seconds: float
-    ode_steps: int | None = None
-    handoff_time: float | None = None
-    handoff_backend: str | None = None
-
-    @property
-    def rate(self) -> float:
-        """Interactions per second (see :func:`_safe_rate` for the
-        zero-time sentinel)."""
-        return _safe_rate(self.interactions, self.seconds)
-
-
-def run_fluid_bench(
-    n: int = FLUID_N,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-) -> list[FluidBenchPoint]:
-    """Measure the fluid tier against leap on the full naming horizon.
-
-    Both cells run the identical workload from the uniform all-zero
-    start - the protocol's genuine transient, so the mean-field ODE has
-    a cascade to fast-forward (the spread start the other sections use
-    is already the fluid fixed point).  Timing is *end to end*: the
-    leap cell pays the O(N) agent-vector round-trip (initial tuple,
-    state-tally interning) that dominates beyond N = 10^7, while the
-    fluid cell goes counts-native through
-    :meth:`~repro.engine.fluid.FluidSimulator.run_counts` and never
-    builds an agent vector at all.  The leap cell runs first, so a
-    fluid-side crash cannot hide the stochastic number.
-    """
-    protocol = workloads()["naming"]
-    budget = max(100_000, int(10 * n * scale))
-    zero_state = sorted(protocol.mobile_state_space())[0]
-    population = Population(n)
-    points: list[FluidBenchPoint] = []
-    scheduler = RandomPairScheduler(population, seed=seed)
+def _run_single(cell: Cell, engine: str, seed: int, jobs: int):
+    """One ``simulator.run``."""
+    protocol, population = _protocol(cell.workload), Population(cell.n)
     simulator = make_simulator(
-        "leap", protocol, population, scheduler, NamingProblem()
+        engine, protocol, population,
+        RandomPairScheduler(population, seed=seed), NamingProblem(),
     )
-    start = time.perf_counter()
-    initial = Configuration((zero_state,) * n, None)
-    result = simulator.run(initial, max_interactions=budget)
-    elapsed = time.perf_counter() - start
-    points.append(
-        FluidBenchPoint(
-            backend="leap",
-            n_mobile=n,
-            interactions=result.interactions,
-            seconds=elapsed,
+    if cell.start == "zeros":  # end to end: the agent vector is timed
+        seconds, result = _timed(
+            lambda: simulator.run(
+                _initial(cell.start, protocol, population),
+                max_interactions=cell.budget,
+            )
         )
+    else:
+        initial = _initial(cell.start, protocol, population)
+        seconds, result = _timed(
+            simulator.run, initial, max_interactions=cell.budget
+        )
+    return (seconds, *_summary([result], result.stats), result)
+
+
+def _run_ensemble(cell: Cell, engine: str, seed: int, jobs: int):
+    """One :func:`run_ensemble` call over seeds ``seed .. seed + R - 1``."""
+    protocol, population = _protocol(cell.workload), Population(cell.n)
+    seconds, ensemble = _timed(
+        run_ensemble,
+        protocol,
+        population,
+        _scheduler,
+        _Prebuilt(_initial(cell.start, protocol, population)),
+        NamingProblem(),
+        seeds=range(seed, seed + cell.r),
+        max_interactions=cell.budget,
+        backend=engine,
+        n_jobs=jobs,
     )
-    scheduler = RandomPairScheduler(population, seed=seed)
+    return (seconds, *_summary(ensemble.results, ensemble.stats), None)
+
+
+def _run_fluid(cell: Cell, engine: str, seed: int, jobs: int):
+    """One counts-native fluid run from ``{0: N}``: no agent vector."""
+    population = Population(cell.n)
     fluid = FluidSimulator(
-        protocol, population, scheduler, problem=NamingProblem()
+        _protocol(cell.workload), population,
+        RandomPairScheduler(population, seed=seed), problem=NamingProblem(),
     )
-    start = time.perf_counter()
-    result = fluid.run_counts({zero_state: n}, max_interactions=budget)
-    elapsed = time.perf_counter() - start
-    stats = result.stats
-    points.append(
-        FluidBenchPoint(
-            backend="fluid",
-            n_mobile=n,
-            interactions=result.interactions,
-            seconds=elapsed,
-            ode_steps=stats.ode_steps if stats else None,
-            handoff_time=stats.handoff_time if stats else None,
-            handoff_backend=stats.handoff_backend if stats else None,
-        )
+    seconds, result = _timed(
+        fluid.run_counts, {0: cell.n}, max_interactions=cell.budget
     )
-    return points
+    return (seconds, *_summary([result], result.stats), None)
 
 
-def fluid_speedup(points: list[FluidBenchPoint]) -> float | None:
-    """Fluid-over-leap wall-clock ratio, or ``None`` if a cell is
-    missing.
-
-    A time ratio rather than a rate ratio: both cells run the same
-    interaction horizon, and the fluid claim is finishing it sooner -
-    including every O(N) setup edge the leap pipeline pays.
-    """
-    seconds = {p.backend: p.seconds for p in points}
-    leap = seconds.get("leap")
-    fluid = seconds.get("fluid")
-    if not leap or not fluid:
-        return None
-    return leap / fluid
-
-
-def render_fluid_points(points: list[FluidBenchPoint]) -> str:
-    """Render the fluid measurements as an aligned text table."""
-    ratio = fluid_speedup(points)
-    rows = []
-    for p in points:
-        if p.ode_steps is not None:
-            detail = (
-                f"{p.ode_steps} ODE steps, handoff at "
-                f"{p.handoff_time:,.0f} -> {p.handoff_backend}"
-            )
-            shown = f"{ratio:.1f}x vs leap" if ratio else ""
-        else:
-            detail = "stochastic baseline (end to end)"
-            shown = ""
-        rows.append(
-            (
-                p.n_mobile,
-                p.backend,
-                p.interactions,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.rate:,.0f}/s",
-                detail,
-                shown,
-            )
-        )
-    return render_table(
-        ("N", "backend", "interactions", "time", "rate", "mean field",
-         "speedup"),
-        rows,
-        title="fluid fast-forward (naming workload, leap vs fluid)",
-    )
-
-
-@dataclass(frozen=True)
-class ParallelBenchPoint:
-    """One parallel-section measurement.
-
-    ``kind`` is ``"lockstep"`` (an ensemble run; ``work`` counts
-    interactions) or ``"frontier"`` (a symbolic reach; ``work`` counts
-    quotient nodes).  ``mode`` is ``"serial"`` or ``"sharded"``; the
-    shared-memory transport fields are filled only on sharded lockstep
-    cells that actually took the zero-copy path.
-    """
-
-    kind: str
-    mode: str
-    n_mobile: int
-    replicates: int | None
-    work: int
-    seconds: float
-    jobs: int
-    shards: int | None = None
-    shm_bytes: int | None = None
-    copy_bytes_saved: int | None = None
-
-    @property
-    def rate(self) -> float:
-        """Work units (interactions or nodes) per second."""
-        return _safe_rate(self.work, self.seconds)
-
-
-def run_parallel_bench(
-    n: int = PARALLEL_N,
-    replicates: int = PARALLEL_REPLICATES,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-    jobs: int | None = None,
-) -> list[ParallelBenchPoint]:
-    """Measure the shared-memory parallel layer against serial execution.
-
-    Two workload pairs, serial first in each so a parallel-side crash
-    cannot hide the baseline:
-
-    * **lockstep**: the bleap engine at (R, N) - one wide lockstep
-      ensemble - serial versus sharded over
-      :mod:`repro.engine.parallel` (one worker chunk per job, raw rows
-      written to shared memory, zero result pickling).  Results are
-      bit-identical by construction, so the cells measure pure
-      transport and parallelism.
-    * **frontier**: the symbolic checker's reach fixpoint, serial
-      versus the sharded frontier expansion of
-      :func:`repro.analysis.symbolic.reach`.
-
-    ``jobs`` defaults to the host's core count (at least 2, so the
-    sharded path is exercised even on small machines).
-    """
-    if jobs is None:
-        jobs = max(2, min(os.cpu_count() or 1, 8))
-    protocol = workloads()["naming"]
-    budget = max(1_000, int(PARALLEL_BUDGET * scale))
-    if scale < 1.0:
-        replicates = max(32, int(replicates * scale))
-    population = Population(n)
-    initial_factory = _SpreadInitialFactory(protocol)
-    seeds = range(seed, seed + replicates)
-    points: list[ParallelBenchPoint] = []
-    for mode, n_jobs in (("serial", 1), ("sharded", jobs)):
-        start = time.perf_counter()
-        ensemble = run_ensemble(
-            protocol,
-            population,
-            _bench_scheduler,
-            initial_factory,
-            NamingProblem(),
-            seeds=seeds,
-            max_interactions=budget,
-            backend="bleap",
-            n_jobs=n_jobs,
-        )
-        elapsed = time.perf_counter() - start
-        stats = ensemble.stats
-        points.append(
-            ParallelBenchPoint(
-                kind="lockstep",
-                mode=mode,
-                n_mobile=n,
-                replicates=replicates,
-                work=sum(res.interactions for res in ensemble.results),
-                seconds=elapsed,
-                jobs=n_jobs,
-                shards=stats.shards,
-                shm_bytes=stats.shm_bytes,
-                copy_bytes_saved=stats.copy_bytes_saved,
-            )
-        )
+def _run_reach(cell: Cell, engine: str, seed: int, jobs: int):
+    """The symbolic checker's reach fixpoint from the ``N``-agent roots."""
     from repro.analysis.symbolic import CountsSystem, reach
-    from repro.core.asymmetric import AsymmetricNamingProtocol
 
-    bound, check_n = (
-        (PARALLEL_CHECK_BOUND, PARALLEL_CHECK_N)
-        if scale >= 0.5
-        else (6, 9)
-    )
-    check_protocol = AsymmetricNamingProtocol(bound)
-    for mode, n_jobs in (("serial", 1), ("sharded", jobs)):
-        system = CountsSystem(check_protocol)
-        roots = system.root_matrix(check_n, "auto", None, None)
-        start = time.perf_counter()
-        rs = reach(system, roots, n_jobs=n_jobs)
-        elapsed = time.perf_counter() - start
-        points.append(
-            ParallelBenchPoint(
-                kind="frontier",
-                mode=mode,
-                n_mobile=check_n,
-                replicates=None,
-                work=rs.n_nodes,
-                seconds=elapsed,
-                jobs=n_jobs,
-            )
+    system = CountsSystem(_protocol(cell.workload))
+    roots = system.root_matrix(cell.n, "auto", None, None)
+    seconds, reached = _timed(reach, system, roots, n_jobs=jobs)
+    return seconds, reached.n_nodes, {}, None
+
+
+def _serve_pass(pool, specs) -> list:
+    """Submit every job up front, then collect the ensembles in order."""
+    handles = [pool.submit(spec) for spec in specs]
+    return [handle.result() for handle in handles]
+
+
+def _run_serve(cell: Cell, engine: str, seed: int, jobs: int):
+    """One ``cold``, ``warm`` or ``memo`` pass over the serve burst.
+
+    Jobs carry distinct seed sets, so the warm pass cannot shortcut
+    through the memo: it measures the pool, the artifact cache and hash
+    shipping.  Pool start-up and ``warm()`` are not timed.
+    """
+    from repro.serve.pool import ServePool
+    from repro.serve.spec import JobSpec
+
+    specs = [
+        JobSpec(
+            AsymmetricNamingProtocol(SERVE_BOUNDS[j % len(SERVE_BOUNDS)]),
+            Population(cell.n),
+            _scheduler,
+            _uniform,
+            NamingProblem(),
+            seeds=tuple(seed + 1_000 * j + i for i in range(cell.r)),
+            max_interactions=cell.budget,
+            backend="batch",
         )
+        for j in range(SERVE_JOBS)
+    ]
+    stats: dict[str, int] = {}
+    if engine == "cold":  # a fresh executor and protocol pickles per job
+        seconds, ensembles = _timed(lambda: [
+            run_ensemble(
+                s.protocol, s.population, s.scheduler_factory,
+                s.initial_factory, s.problem, list(s.seeds),
+                max_interactions=s.max_interactions, backend=s.backend,
+                n_jobs=SERVE_WORKERS,
+            )
+            for s in specs
+        ])
+    else:
+        with ServePool(max_workers=SERVE_WORKERS) as pool:
+            pool.warm()
+            if engine == "memo":
+                _serve_pass(pool, specs)
+            hits = pool.memo_hits
+            seconds, ensembles = _timed(_serve_pass, pool, specs)
+            stats["memo_hits"] = pool.memo_hits - hits
+        if engine == "warm" and stats["memo_hits"]:
+            raise SimulationError(
+                "the warm serve pass hit the result memo; serve jobs must "
+                "carry distinct seed sets"
+            )
+    work, summary = _summary([r for e in ensembles for r in e.results], None)
+    outcome = [(e.seeds, e.results) for e in ensembles]
+    return seconds, work, {**summary, **stats}, outcome
+
+
+def _measure(cell: Cell, seed: int) -> tuple[BenchPoint, object]:
+    """Time ``cell``, keeping its fastest repeat; returns the point and
+    the outcome of the last repeat."""
+    sharded = cell.engine == "sharded"
+    engine = cell.baseline if sharded and cell.baseline else cell.engine
+    jobs = max(2, min(os.cpu_count() or 1, 8)) if sharded else 1
+    if cell.section == "serve":
+        runner = _run_serve
+    elif engine == "reach":
+        runner = _run_reach
+    elif engine == "fluid":
+        runner = _run_fluid
+    elif cell.r > 1:
+        runner = _run_ensemble
+    else:
+        runner = _run_single
+    best = math.inf
+    for _ in range(cell.repeats):
+        seconds, work, stats, outcome = runner(cell, engine, seed, jobs)
+        best = min(best, seconds)
+    if sharded:
+        stats["jobs"] = jobs
+    point = BenchPoint(
+        cell.section, cell.workload, cell.engine, cell.baseline, cell.n,
+        cell.r, work, best, stats,
+    )
+    return point, outcome
+
+
+def run_bench(
+    cells: Sequence[Cell] = FULL_CELLS, seed: int = DEFAULT_SEED
+) -> list[BenchPoint]:
+    """Measure ``cells`` in order, a baseline before the cells compared
+    with it.
+
+    Raises :class:`~repro.errors.SimulationError` when a cell's results
+    differ from its baseline's although the pair is in
+    :data:`IDENTICAL`.
+    """
+    bases = {baseline for _, baseline in IDENTICAL}
+    outcomes: dict[tuple, object] = {}
+    points = []
+    for cell in cells:
+        point, outcome = _measure(cell, seed)
+        if (cell.engine, cell.baseline) in IDENTICAL:
+            key = (cell.section, cell.workload, cell.baseline, cell.n, cell.r)
+            if outcome != outcomes[key]:
+                raise SimulationError(
+                    f"differential check failed: {cell.engine} and "
+                    f"{cell.baseline} results differ ({cell.section} "
+                    f"{cell.workload}, N={cell.n}, seed={seed})"
+                )
+        if cell.engine in bases:
+            outcomes[cell.key] = outcome
+        points.append(point)
     return points
 
 
-def parallel_speedups(
-    points: list[ParallelBenchPoint],
-) -> dict[str, float]:
-    """Per-kind sharded/serial rate ratios (machine-independent)."""
-    out: dict[str, float] = {}
-    for kind in ("lockstep", "frontier"):
-        rates = {p.mode: p.rate for p in points if p.kind == kind}
-        serial = rates.get("serial")
-        sharded = rates.get("sharded")
-        if serial and sharded:
-            out[kind] = sharded / serial
-    return out
+def ratio(
+    points: Sequence[BenchPoint],
+    point: BenchPoint,
+    quantity: str | None = None,
+) -> float | None:
+    """``point`` against its baseline cell in ``points``.
+
+    The ``"rate ratio"`` divides the point's rate by the baseline's; the
+    ``"wall ratio"`` divides the baseline's seconds by the point's.  The
+    default is the wall ratio in :data:`END_TO_END` sections and the
+    rate ratio elsewhere.  ``None`` when ``point`` has no baseline or
+    the baseline was not measured.
+    """
+    if quantity is None:
+        end_to_end = point.section in END_TO_END
+        quantity = "wall ratio" if end_to_end else "rate ratio"
+    key = (
+        point.section, point.workload, point.baseline, point.n_mobile,
+        point.replicates,
+    )
+    base = next((p for p in points if p.key == key), None)
+    if base is None:
+        return None
+    if quantity == "wall ratio":
+        return _safe_rate(base.seconds, point.seconds)
+    return _safe_rate(point.rate, base.rate)
 
 
-def render_parallel_points(points: list[ParallelBenchPoint]) -> str:
-    """Render the parallel measurements as an aligned text table."""
-    ratios = parallel_speedups(points)
-    rows = []
-    for p in points:
-        if p.kind == "lockstep":
-            unit = "interactions"
-            detail = (
-                f"{p.shards} shards, {p.shm_bytes:,} B shm, "
-                f"{p.copy_bytes_saved:,} B copies saved"
-                if p.shards is not None
-                else ("R replicate rows pickled" if p.mode == "sharded"
-                      else "one lockstep batch")
-            )
-        else:
-            unit = "nodes"
-            detail = (
-                "sharded frontier expansion"
-                if p.mode == "sharded"
-                else "serial frontier"
-            )
-        ratio = ratios.get(p.kind)
-        shown = (
-            f"{ratio:.2f}x vs serial"
-            if p.mode == "sharded" and ratio
-            else ""
-        )
-        rows.append(
-            (
-                p.kind,
-                p.mode,
-                p.jobs,
+def _shown(value: object) -> str:
+    """A stats value for the text table."""
+    if isinstance(value, (int, float)):
+        return f"{value:,.0f}"
+    return str(value)
+
+
+def render(points: Sequence[BenchPoint]) -> str:
+    """One aligned text table per section, each point with its stats and
+    its ratio to its baseline."""
+    tables = []
+    for section in dict.fromkeys(p.section for p in points):
+        rows = []
+        for p in points:
+            if p.section != section:
+                continue
+            value = ratio(points, p)
+            rows.append((
+                p.workload,
+                p.engine,
                 p.n_mobile,
-                p.replicates if p.replicates is not None else "",
-                f"{p.work:,} {unit}",
+                p.replicates,
+                f"{p.work:,}",
                 f"{p.seconds * 1000:.0f} ms",
                 f"{p.rate:,.0f}/s",
-                detail,
-                shown,
-            )
-        )
-    return render_table(
-        ("cell", "mode", "jobs", "N", "R", "work", "time", "rate",
-         "transport", "speedup"),
-        rows,
-        title="parallel execution (shared-memory sharding vs serial)",
-    )
-
-
-def speedups(
-    points: list[BenchPoint],
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Pairwise rate ratios, ``{workload: {str(N): {pair: ratio}}}``.
-
-    Reported pairs are ``"fast/reference"`` and ``"counts/fast"``, each
-    present only when both of its backends ran at that size.
-    """
-    rates: dict[tuple[str, int], dict[str, float]] = {}
-    for p in points:
-        rates.setdefault((p.workload, p.n_mobile), {})[p.backend] = p.rate
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for (workload, n), per_backend in rates.items():
-        ref = per_backend.get("reference")
-        fast = per_backend.get("fast")
-        counts = per_backend.get("counts")
-        cell: dict[str, float] = {}
-        if ref and fast:
-            cell["fast/reference"] = fast / ref
-        if fast and counts:
-            cell["counts/fast"] = counts / fast
-        if cell:
-            out.setdefault(workload, {})[str(n)] = cell
-    return out
-
-
-def floor_rate(points: list[BenchPoint]) -> float | None:
-    """The counts backend's naming rate at the largest measured size.
-
-    This is the number the ``--floor`` perf gate guards: the headline
-    claim of the counts backend is large-N naming throughput, so that is
-    the cell that must not regress.  Returns ``None`` when no such cell
-    was measured.
-    """
-    cells = [
-        p
-        for p in points
-        if p.workload == "naming" and p.backend == "counts"
-    ]
-    if not cells:
-        return None
-    return max(cells, key=lambda p: p.n_mobile).rate
+                ", ".join(f"{k}={_shown(v)}" for k, v in p.stats.items()),
+                "" if value is None else f"{value:.2f}x vs {p.baseline}",
+            ))
+        tables.append(render_table(
+            ("workload", "engine", "N", "R", "work", "time", "rate",
+             "stats", "speedup"),
+            rows,
+            title=_TITLES[section],
+        ))
+    return "\n\n".join(tables)
 
 
 def environment() -> dict[str, object]:
@@ -1200,590 +719,151 @@ def environment() -> dict[str, object]:
 
 
 def write_json(
-    points: list[BenchPoint],
+    points: Sequence[BenchPoint],
     path: str,
     seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-    ensemble: list[EnsembleBenchPoint] | None = None,
-    leap: list[LeapBenchPoint] | None = None,
-    bleap: list[BleapBenchPoint] | None = None,
-    fluid: list[FluidBenchPoint] | None = None,
-    parallel: list[ParallelBenchPoint] | None = None,
+    smoke: bool = False,
     section_seconds: dict[str, float] | None = None,
 ) -> None:
-    """Write the measurements and speedups as a JSON report.
+    """Write the points, each with its ratio to its baseline
+    (``speedup``), as a JSON report.
 
-    Sections deselected by ``--sections`` arrive as ``None`` (or an
-    empty ``points`` list) and are simply omitted from the payload, so
-    a partial re-run still writes a valid report.  ``section_seconds``
-    is the wall-clock cost of each section that ran (measurement plus
-    harness overhead, which the per-point ``seconds`` fields exclude);
+    ``section_seconds`` is the wall-clock cost of each section that ran
+    (measurement plus harness, which the points' ``seconds`` exclude);
     its sum is reported as ``total_seconds``.
     """
-    payload = {
+    payload: dict[str, object] = {
         "benchmark": "simulator",
         "scheduler": "uniform random pairs",
         "seed": seed,
-        "scale": scale,
+        "smoke": smoke,
         "environment": environment(),
         "points": [
             {
-                "workload": p.workload,
-                "backend": p.backend,
-                "n_mobile": p.n_mobile,
-                "interactions": p.interactions,
-                "non_null_interactions": p.non_null_interactions,
+                **dataclasses.asdict(p),
                 "seconds": round(p.seconds, 6),
-                "interactions_per_sec": round(p.rate, 1),
+                "rate": round(p.rate, 1),
+                "runs_per_second": round(p.runs_per_second, 2),
+                "speedup": ratio(points, p),
             }
             for p in points
         ],
-        "speedup": speedups(points),
     }
-    if ensemble:
-        payload["ensemble"] = {
-            "workload": "naming",
-            "budget_per_replicate": max(1_000, int(ENSEMBLE_BUDGET * scale)),
-            "points": [
-                {
-                    "engine": p.engine,
-                    "n_mobile": p.n_mobile,
-                    "replicates": p.replicates,
-                    "interactions": p.interactions,
-                    "non_null_interactions": p.non_null_interactions,
-                    "seconds": round(p.seconds, 6),
-                    "interactions_per_sec": round(p.rate, 1),
-                    "runs_per_sec": round(p.runs_per_second, 2),
-                }
-                for p in ensemble
-            ],
-            "speedup": ensemble_speedups(ensemble),
-        }
-    if leap:
-        payload["leap"] = {
-            "workload": "naming",
-            "points": [
-                {
-                    "backend": p.backend,
-                    "n_mobile": p.n_mobile,
-                    "interactions": p.interactions,
-                    "non_null_interactions": p.non_null_interactions,
-                    "seconds": round(p.seconds, 6),
-                    "interactions_per_sec": round(p.rate, 1),
-                    "leaps": p.leaps,
-                    "mean_tau": (
-                        round(p.mean_tau, 1)
-                        if p.mean_tau is not None
-                        else None
-                    ),
-                    "repairs": p.repairs,
-                }
-                for p in leap
-            ],
-            "speedup": leap_speedup(leap),
-        }
-    if bleap:
-        payload["bleap"] = {
-            "workload": "naming",
-            "budget_per_replicate": max(1_000, int(BLEAP_BUDGET * scale)),
-            "points": [
-                {
-                    "engine": p.engine,
-                    "n_mobile": p.n_mobile,
-                    "replicates": p.replicates,
-                    "interactions": p.interactions,
-                    "non_null_interactions": p.non_null_interactions,
-                    "seconds": round(p.seconds, 6),
-                    "interactions_per_sec": round(p.rate, 1),
-                    "runs_per_sec": round(p.runs_per_second, 2),
-                    "leaps": p.leaps,
-                    "mean_tau": (
-                        round(p.mean_tau, 1)
-                        if p.mean_tau is not None
-                        else None
-                    ),
-                    "repairs": p.repairs,
-                    "ssa_fallback_rows": p.ssa_fallback_rows,
-                }
-                for p in bleap
-            ],
-            "speedup": bleap_speedup(bleap),
-        }
-    if fluid:
-        payload["fluid"] = {
-            "workload": "naming",
-            "points": [
-                {
-                    "backend": p.backend,
-                    "n_mobile": p.n_mobile,
-                    "interactions": p.interactions,
-                    "seconds": round(p.seconds, 6),
-                    "interactions_per_sec": round(p.rate, 1),
-                    "ode_steps": p.ode_steps,
-                    "handoff_time": p.handoff_time,
-                    "handoff_backend": p.handoff_backend,
-                }
-                for p in fluid
-            ],
-            "speedup": fluid_speedup(fluid),
-        }
-    if parallel:
-        payload["parallel"] = {
-            "workload": "naming",
-            "points": [
-                {
-                    "kind": p.kind,
-                    "mode": p.mode,
-                    "jobs": p.jobs,
-                    "n_mobile": p.n_mobile,
-                    "replicates": p.replicates,
-                    "work": p.work,
-                    "seconds": round(p.seconds, 6),
-                    "rate": round(p.rate, 1),
-                    "shards": p.shards,
-                    "shm_bytes": p.shm_bytes,
-                    "copy_bytes_saved": p.copy_bytes_saved,
-                }
-                for p in parallel
-            ],
-            "speedup": parallel_speedups(parallel),
-        }
     if section_seconds:
-        payload["section_seconds"] = {
-            name: round(value, 6)
-            for name, value in section_seconds.items()
-        }
-        payload["total_seconds"] = round(
-            sum(section_seconds.values()), 6
-        )
+        rounded = {k: round(v, 6) for k, v in section_seconds.items()}
+        payload["section_seconds"] = rounded
+        payload["total_seconds"] = round(sum(rounded.values()), 6)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def render_points(points: list[BenchPoint]) -> str:
-    """Render the bench measurements as an aligned text table."""
-    ratio = speedups(points)
-    rows = []
-    for p in points:
-        cell = ratio.get(p.workload, {}).get(str(p.n_mobile), {})
-        if p.backend == "fast":
-            pair = cell.get("fast/reference")
-            shown = f"{pair:.1f}x vs reference" if pair else ""
-        elif p.backend == "counts":
-            pair = cell.get("counts/fast")
-            shown = f"{pair:.1f}x vs fast" if pair else ""
+def check_gates(
+    points: Sequence[BenchPoint],
+    sections: Sequence[str] = SECTIONS,
+    gates: Sequence[Gate] = GATES,
+) -> bool:
+    """Print the verdict of every gate of a section in ``sections``;
+    ``True`` when none failed.
+
+    A gate whose cell or baseline was not measured fails.  Below a
+    gate's ``min_cores`` the value is reported and the gate skipped:
+    there the sharded/serial ratio measures oversubscription, not the
+    transport.
+    """
+    cores = os.cpu_count() or 1
+    passed = True
+    for gate in gates:
+        section, _, engine, _, _ = gate.cell
+        if section not in sections:
+            continue
+        point = next((p for p in points if p.key == gate.cell), None)
+        if gate.quantity == "rate":
+            name = engine
+            value = None if point is None else point.rate
+            shown = "{:,.0f}/s".format
         else:
-            shown = ""
-        rows.append(
-            (
-                p.workload,
-                p.n_mobile,
-                p.backend,
-                p.interactions,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.rate:,.0f}/s",
-                shown,
+            name = f"{engine}/{point.baseline if point else '?'}"
+            value = None if point is None else ratio(
+                points, point, gate.quantity
             )
-        )
-    return render_table(
-        ("workload", "N", "backend", "interactions", "time", "rate",
-         "speedup"),
-        rows,
-        title="simulator backend throughput (uniform random scheduler)",
-    )
+            shown = "{:.2f}x".format
+        if value is None:
+            failed, verdict = True, "not measured -> FAIL"
+        elif cores < gate.min_cores:
+            failed, verdict = False, (
+                f"{shown(value)} on {cores} core(s) -> skipped (gated "
+                f"on >= {gate.min_cores} cores)"
+            )
+        else:
+            failed = value < gate.floor
+            verdict = (
+                f"{shown(value)} vs floor {shown(gate.floor)} -> "
+                f"{'FAIL' if failed else 'ok'}"
+            )
+        passed = passed and not failed
+        print(f"gate {name} ({gate.quantity}): {verdict}")
+    return passed
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the simulator micro-benchmark from the command line."""
+    """Run the benchmark from the command line; exits 1 when a gate
+    fails."""
     parser = argparse.ArgumentParser(
-        description="Simulation-backend micro-benchmark."
+        description="Engine and serving throughput benchmark."
     )
-    parser.add_argument(
-        "--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES)
-    )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="multiply every interaction budget by this factor",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny budgets for CI smoke runs (equivalent to --scale 0.02)",
-    )
-    parser.add_argument("--out", default=DEFAULT_OUT, metavar="PATH")
     parser.add_argument(
         "--sections",
         default=",".join(SECTIONS),
         metavar="NAMES",
         help=(
-            "comma-separated subset of bench sections to run "
-            f"(choices: {', '.join(SECTIONS)}; default: all).  A floor "
-            "flag whose section is deselected is a usage error"
+            "comma-separated subset of sections to run (choices: "
+            f"{', '.join(SECTIONS)}; default: all)"
         ),
     )
     parser.add_argument(
-        "--floor",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help=(
-            "fail (exit 1) unless the counts backend's naming rate at "
-            "the largest size reaches RATE interactions/second"
-        ),
+        "--smoke",
+        action="store_true",
+        help="run the small cells of CI's smoke step and check no gate",
     )
     parser.add_argument(
-        "--ensemble-sizes",
+        "--out",
+        default=DEFAULT_OUT,
+        metavar="PATH",
+        help=f"JSON report path (default: {DEFAULT_OUT})",
+    )
+    parser.add_argument(
+        "--seed",
         type=int,
-        nargs="+",
-        default=list(ENSEMBLE_SIZES),
-        metavar="N",
-        help="population sizes of the ensemble-throughput section",
-    )
-    parser.add_argument(
-        "--ensemble-reps",
-        type=int,
-        nargs="+",
-        default=list(ENSEMBLE_REPLICATES),
-        metavar="R",
-        help="replicate counts of the ensemble-throughput section",
-    )
-    parser.add_argument(
-        "--ensemble-floor",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help=(
-            "fail (exit 1) unless the batch engine's pooled rate at the "
-            "widest, largest ensemble cell reaches RATE interactions/s"
-        ),
-    )
-    parser.add_argument(
-        "--ensemble-ratio-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless every batch/counts rate ratio at the "
-            "largest ensemble population reaches RATIO (machine-"
-            "independent: 1.0 asserts lockstep batching never loses to "
-            "chunked per-run counts dispatch)"
-        ),
-    )
-    parser.add_argument(
-        "--leap-n",
-        type=int,
-        default=LEAP_N,
-        metavar="N",
-        help="population size of the leap-throughput section",
-    )
-    parser.add_argument(
-        "--leap-eps",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help=(
-            "per-window relative-change bound of the leap backend "
-            "(default 0.03; smaller = more accurate, slower)"
-        ),
-    )
-    parser.add_argument(
-        "--leap-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless the leap backend's rate at --leap-n "
-            "reaches RATIO times the exact counts rate (a ratio gate: "
-            "the leap claim is its speedup, not an absolute rate)"
-        ),
-    )
-    parser.add_argument(
-        "--bleap-n",
-        type=int,
-        default=BLEAP_N,
-        metavar="N",
-        help="population size of the bleap section",
-    )
-    parser.add_argument(
-        "--bleap-reps",
-        type=int,
-        default=BLEAP_REPLICATES,
-        metavar="R",
-        help="replicate count of the bleap section",
-    )
-    parser.add_argument(
-        "--bleap-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless the bleap engine's pooled rate at "
-            "--bleap-n/--bleap-reps reaches RATIO times the chunked "
-            "counts rate (a machine-independent ratio gate, like "
-            "--leap-floor)"
-        ),
-    )
-    parser.add_argument(
-        "--fluid-n",
-        type=int,
-        default=FLUID_N,
-        metavar="N",
-        help="population size of the fluid section",
-    )
-    parser.add_argument(
-        "--fluid-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless the fluid tier finishes the full "
-            "naming horizon at --fluid-n RATIO times faster (wall-"
-            "clock, end to end) than the leap backend"
-        ),
-    )
-    parser.add_argument(
-        "--parallel-n",
-        type=int,
-        default=PARALLEL_N,
-        metavar="N",
-        help="population size of the parallel lockstep cells",
-    )
-    parser.add_argument(
-        "--parallel-reps",
-        type=int,
-        default=PARALLEL_REPLICATES,
-        metavar="R",
-        help="replicate count of the parallel lockstep cells",
-    )
-    parser.add_argument(
-        "--parallel-jobs",
-        type=int,
-        default=None,
-        metavar="J",
-        help=(
-            "worker count of the sharded cells (default: the core "
-            "count, clamped to [2, 8])"
-        ),
-    )
-    parser.add_argument(
-        "--parallel-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless the sharded lockstep rate reaches "
-            "RATIO times the serial rate (machine-independent; "
-            f"reported but skipped on hosts with fewer than "
-            f"{PARALLEL_MIN_CORES} cores, where the ratio measures "
-            "oversubscription, not the transport)"
-        ),
+        default=DEFAULT_SEED,
+        help=f"scheduler seed (default: {DEFAULT_SEED})",
     )
     args = parser.parse_args(argv)
-    sections = tuple(
+    sections = [
         name.strip() for name in args.sections.split(",") if name.strip()
-    )
+    ]
     unknown = sorted(set(sections) - set(SECTIONS))
     if unknown:
         parser.error(
             f"unknown section(s) {', '.join(unknown)} "
             f"(choices: {', '.join(SECTIONS)})"
         )
-    gated = {
-        "backends": args.floor is not None,
-        "ensemble": (
-            args.ensemble_floor is not None
-            or args.ensemble_ratio_floor is not None
-        ),
-        "leap": args.leap_floor is not None,
-        "bleap": args.bleap_floor is not None,
-        "fluid": args.fluid_floor is not None,
-        "parallel": args.parallel_floor is not None,
-    }
-    for name, has_floor in gated.items():
-        if has_floor and name not in sections:
-            parser.error(
-                f"a floor flag gates the {name!r} section, but "
-                f"--sections deselected it"
-            )
-    scale = 0.02 if args.smoke else args.scale
+    cells = SMOKE_CELLS if args.smoke else FULL_CELLS
     points: list[BenchPoint] = []
-    ensemble: list[EnsembleBenchPoint] | None = None
-    leap: list[LeapBenchPoint] | None = None
-    bleap: list[BleapBenchPoint] | None = None
-    fluid: list[FluidBenchPoint] | None = None
-    parallel: list[ParallelBenchPoint] | None = None
     section_seconds: dict[str, float] = {}
-    printed = False
-    if "backends" in sections:
-        started = time.perf_counter()
-        points = run_bench(tuple(args.sizes), seed=args.seed, scale=scale)
-        section_seconds["backends"] = time.perf_counter() - started
-        print(render_points(points))
-        printed = True
-    if "ensemble" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        ensemble = run_ensemble_bench(
-            tuple(args.ensemble_sizes),
-            tuple(args.ensemble_reps),
-            seed=args.seed,
-            scale=scale,
+    for section in (name for name in SECTIONS if name in sections):
+        seconds, measured = _timed(
+            run_bench, [c for c in cells if c.section == section], args.seed
         )
-        section_seconds["ensemble"] = time.perf_counter() - started
-        print(render_ensemble_points(ensemble))
-        printed = True
-    if "leap" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        leap = run_leap_bench(
-            n=args.leap_n,
-            seed=args.seed,
-            scale=scale,
-            leap_eps=args.leap_eps,
-        )
-        section_seconds["leap"] = time.perf_counter() - started
-        print(render_leap_points(leap))
-        printed = True
-    if "bleap" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        bleap = run_bleap_bench(
-            n=args.bleap_n,
-            replicates=args.bleap_reps,
-            seed=args.seed,
-            scale=scale,
-        )
-        section_seconds["bleap"] = time.perf_counter() - started
-        print(render_bleap_points(bleap))
-        printed = True
-    if "fluid" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        fluid = run_fluid_bench(
-            n=args.fluid_n,
-            seed=args.seed,
-            scale=scale,
-        )
-        section_seconds["fluid"] = time.perf_counter() - started
-        print(render_fluid_points(fluid))
-        printed = True
-    if "parallel" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        parallel = run_parallel_bench(
-            n=args.parallel_n,
-            replicates=args.parallel_reps,
-            seed=args.seed,
-            scale=scale,
-            jobs=args.parallel_jobs,
-        )
-        section_seconds["parallel"] = time.perf_counter() - started
-        print(render_parallel_points(parallel))
-        printed = True
-    write_json(points, args.out, seed=args.seed, scale=scale,
-               ensemble=ensemble, leap=leap, bleap=bleap, fluid=fluid,
-               parallel=parallel, section_seconds=section_seconds)
-    print(f"\nJSON written to {args.out}")
-    failed = False
-    if args.floor is not None:
-        rate = floor_rate(points)
-        if rate is None:
-            print("floor check: no counts naming cell was measured")
-            return 1
-        verdict = "ok" if rate >= args.floor else "FAIL"
-        print(
-            f"floor check: counts naming rate {rate:,.0f}/s vs floor "
-            f"{args.floor:,.0f}/s -> {verdict}"
-        )
-        failed = failed or rate < args.floor
-    if args.ensemble_floor is not None:
-        rate = ensemble_floor_rate(ensemble or [])
-        if rate is None:
-            print("ensemble floor check: no batch cell was measured")
-            return 1
-        verdict = "ok" if rate >= args.ensemble_floor else "FAIL"
-        print(
-            f"ensemble floor check: batch rate {rate:,.0f}/s vs floor "
-            f"{args.ensemble_floor:,.0f}/s -> {verdict}"
-        )
-        failed = failed or rate < args.ensemble_floor
-    if args.ensemble_ratio_floor is not None:
-        ratio = ensemble_ratio_floor(ensemble or [])
-        if ratio is None:
-            print("ensemble ratio check: no complete cell was measured")
-            return 1
-        verdict = "ok" if ratio >= args.ensemble_ratio_floor else "FAIL"
-        print(
-            f"ensemble ratio check: batch/counts ratio at the widest "
-            f"largest-N cell is {ratio:.2f}x vs floor "
-            f"{args.ensemble_ratio_floor:.2f}x -> {verdict}"
-        )
-        failed = failed or ratio < args.ensemble_ratio_floor
-    if args.leap_floor is not None:
-        ratio = leap_speedup(leap or [])
-        if ratio is None:
-            print("leap floor check: a leap-section cell is missing")
-            return 1
-        verdict = "ok" if ratio >= args.leap_floor else "FAIL"
-        print(
-            f"leap floor check: leap/counts speedup {ratio:.1f}x vs "
-            f"floor {args.leap_floor:.1f}x -> {verdict}"
-        )
-        failed = failed or ratio < args.leap_floor
-    if args.bleap_floor is not None:
-        ratio = bleap_speedup(bleap or [])
-        if ratio is None:
-            print("bleap floor check: a bleap-section cell is missing")
-            return 1
-        verdict = "ok" if ratio >= args.bleap_floor else "FAIL"
-        print(
-            f"bleap floor check: bleap/counts speedup {ratio:.1f}x vs "
-            f"floor {args.bleap_floor:.1f}x -> {verdict}"
-        )
-        failed = failed or ratio < args.bleap_floor
-    if args.fluid_floor is not None:
-        ratio = fluid_speedup(fluid or [])
-        if ratio is None:
-            print("fluid floor check: a fluid-section cell is missing")
-            return 1
-        verdict = "ok" if ratio >= args.fluid_floor else "FAIL"
-        print(
-            f"fluid floor check: fluid/leap wall-clock speedup "
-            f"{ratio:.1f}x vs floor {args.fluid_floor:.1f}x -> {verdict}"
-        )
-        failed = failed or ratio < args.fluid_floor
-    if args.parallel_floor is not None:
-        ratio = parallel_speedups(parallel or []).get("lockstep")
-        if ratio is None:
-            print("parallel floor check: a lockstep cell is missing")
-            return 1
-        cores = os.cpu_count() or 1
-        if cores < PARALLEL_MIN_CORES:
-            # Below the core floor the ratio measures oversubscription,
-            # not the shared-memory transport - report, don't gate.
-            print(
-                f"parallel floor check: sharded/serial speedup "
-                f"{ratio:.2f}x on {cores} core(s) -> skipped (floor "
-                f"gates only on >= {PARALLEL_MIN_CORES} cores)"
-            )
-        else:
-            verdict = "ok" if ratio >= args.parallel_floor else "FAIL"
-            print(
-                f"parallel floor check: sharded/serial lockstep "
-                f"speedup {ratio:.2f}x vs floor "
-                f"{args.parallel_floor:.2f}x -> {verdict}"
-            )
-            failed = failed or ratio < args.parallel_floor
-    return 1 if failed else 0
+        section_seconds[section] = seconds
+        points += measured
+        if measured:
+            print(render(measured), end="\n\n")
+    write_json(points, args.out, args.seed, args.smoke, section_seconds)
+    print(f"JSON written to {args.out}")
+    if args.smoke:
+        return 0
+    return 0 if check_gates(points, sections) else 1
 
 
 if __name__ == "__main__":

@@ -21,10 +21,14 @@ serving workloads:
   instead of pickling whole objects, warms workers once, and applies
   bounded-queue backpressure; jobs are submitted as :class:`JobSpec` and
   tracked through :class:`JobHandle` (progress streaming +
-  ``result()``);
-* :mod:`repro.serve.bench` - the ``repro serve-bench`` stress benchmark
-  (many concurrent heterogeneous jobs, cold vs warm), recorded in
-  ``BENCH_simulator.json`` and CI-gated via ``--serve-floor``.
+  ``result()``).
+
+The ``serve`` section of ``repro bench``
+(:mod:`repro.experiments.bench`) measures the package: a burst of small
+heterogeneous jobs run cold (one ``run_ensemble`` call each), warm
+(through a fresh warmed :class:`ServePool`) and memoized, with every
+warm and memoized ensemble checked bit-identical to the cold one.  CI
+gates the cold/warm wall-clock ratio at 3.
 """
 
 from repro.serve.cache import ArtifactCache, CacheStats

@@ -1,42 +1,56 @@
-"""Tests for the simulation-backend micro-benchmark."""
+"""Tests for the engine and serving throughput benchmark."""
 
 import json
 
 import pytest
 
 from repro.engine.fast import compile_table
+from repro.errors import SimulationError
+from repro.experiments import bench
 from repro.experiments.bench import (
+    FULL_CELLS,
+    GATES,
     PARALLEL_MIN_CORES,
     REFERENCE_MAX_N,
     SECTIONS,
+    SMOKE_CELLS,
     BenchPoint,
+    Cell,
     ChurnProtocol,
-    EnsembleBenchPoint,
-    FluidBenchPoint,
-    LeapBenchPoint,
-    ParallelBenchPoint,
+    Gate,
+    _ladder,
+    _pair,
     _safe_rate,
-    ensemble_floor_rate,
-    ensemble_speedups,
+    check_gates,
     environment,
-    floor_rate,
-    fluid_speedup,
-    leap_speedup,
     main,
-    parallel_speedups,
-    render_ensemble_points,
-    render_fluid_points,
-    render_leap_points,
-    render_parallel_points,
+    ratio,
+    render,
     run_bench,
-    run_ensemble_bench,
-    run_fluid_bench,
-    run_leap_bench,
-    run_parallel_bench,
-    speedups,
-    workloads,
     write_json,
 )
+
+
+def point(section, engine, baseline=None, n=10, r=1, work=1000,
+          seconds=1.0, workload="naming", **stats):
+    """A fabricated measurement."""
+    return BenchPoint(section, workload, engine, baseline, n, r, work,
+                      seconds, stats)
+
+
+def cells(section, table=SMOKE_CELLS):
+    """The cells of one section of a table."""
+    return [c for c in table if c.section == section]
+
+
+def tiny_serve(repeats=1):
+    """The serve cells at a test size."""
+    return (
+        *_pair("serve", "naming", "warm", "cold", "uniform", 20, 2, 200,
+               repeats),
+        Cell("serve", "naming", "memo", "cold", "uniform", 20, 2, 200,
+             repeats),
+    )
 
 
 class TestChurnProtocol:
@@ -54,56 +68,184 @@ class TestChurnProtocol:
         assert compile_table(ChurnProtocol()) is not None
 
 
+class TestCellTable:
+    def test_smoke_table_is_the_ci_smoke_command(self):
+        # 12 backend cells (two workloads, N in {6, 25}, three engines)
+        # plus two cells each for two ensemble widths, leap, bleap,
+        # fluid and the two parallel pairs.
+        assert len(SMOKE_CELLS) == 26
+        assert {c.section for c in SMOKE_CELLS} == set(SECTIONS) - {"serve"}
+
+    def test_full_table_adds_the_gated_naming_pair(self):
+        naming = {
+            c.n for c in cells("backends", FULL_CELLS)
+            if c.workload == "naming"
+        }
+        churn = {
+            c.n for c in cells("backends", FULL_CELLS)
+            if c.workload == "churn"
+        }
+        assert naming == {10, 100, 1_000, 100_000}
+        assert churn == {10, 100, 1_000}
+        assert len(FULL_CELLS) == 41
+
+    def test_baselines_run_before_the_cells_compared_with_them(self):
+        for table in (FULL_CELLS, SMOKE_CELLS):
+            seen = set()
+            for cell in table:
+                if cell.baseline is not None:
+                    key = (cell.section, cell.workload, cell.baseline,
+                           cell.n, cell.r)
+                    assert key in seen, cell
+                seen.add(cell.key)
+
+    def test_windowed_cells_start_uniform(self):
+        # The spread start is the naming protocol's mean-field
+        # equilibrium: from it a windowed engine runs one leap window.
+        # The exact engines keep it, so their null/non-null mix stays
+        # stationary.
+        for cell in (*FULL_CELLS, *SMOKE_CELLS):
+            windowed = cell.section in ("leap", "bleap") or (
+                cell.section == "parallel" and cell.workload == "naming"
+            )
+            if windowed:
+                assert cell.start == "uniform", cell
+            elif cell.section in ("backends", "ensemble"):
+                assert cell.start == "spread", cell
+
+
+class TestGates:
+    def test_gate_rows_are_pinned(self):
+        # The eight CI floors: cell, quantity, floor, minimum cores.  A
+        # change here must be deliberate, never a silent loosening.
+        assert GATES == (
+            Gate(("backends", "naming", "counts", 100_000, 1), "rate",
+                 1_000_000, 1),
+            Gate(("ensemble", "naming", "batch", 100_000, 256), "rate",
+                 2_000_000, 1),
+            Gate(("ensemble", "naming", "batch", 100_000, 256),
+                 "rate ratio", 1.0, 1),
+            Gate(("leap", "naming", "leap", 1_000_000, 1), "rate ratio",
+                 10, 1),
+            Gate(("bleap", "naming", "bleap", 100_000, 256), "rate ratio",
+                 5, 1),
+            Gate(("fluid", "naming", "fluid", 100_000_000, 1),
+                 "wall ratio", 10, 1),
+            Gate(("parallel", "naming", "sharded", 100_000, 1_024),
+                 "rate ratio", 2, 4),
+            Gate(("serve", "naming", "warm", 100, 6), "wall ratio", 3, 1),
+        )
+        assert PARALLEL_MIN_CORES == 4
+
+    def test_gated_cells_are_pinned(self):
+        by_key = {c.key: c for c in FULL_CELLS}
+        gated = [by_key[g.cell] for g in GATES]
+        # baseline, start, budget per replicate, repeats
+        assert [(c.baseline, c.start, c.budget, c.repeats) for c in gated] == [
+            ("fast", "spread", 1_000_000, 1),
+            ("counts", "spread", 20_000, 3),
+            ("counts", "spread", 20_000, 3),
+            ("counts", "uniform", 10_000_000, 1),
+            ("counts", "uniform", 200_000, 2),
+            ("leap", "zeros", 1_000_000_000, 1),
+            ("bleap", "uniform", 200_000, 1),
+            ("cold", "uniform", 2_500, 3),
+        ]
+        assert (bench.SERVE_JOBS, bench.SERVE_BOUNDS, bench.SERVE_WORKERS) \
+            == (16, (4, 6, 8), 2)
+
+    def test_failing_gate_is_reported(self, capsys):
+        points = [point("leap", "counts", work=100),
+                  point("leap", "leap", "counts", work=900)]
+        gate = Gate(("leap", "naming", "leap", 10, 1), "rate ratio", 10)
+        assert check_gates(points, gates=(gate,)) is False
+        assert "gate leap/counts (rate ratio): 9.00x vs floor 10.00x -> FAIL" \
+            in capsys.readouterr().out
+
+    def test_missing_cell_fails(self, capsys):
+        gate = Gate(("leap", "naming", "leap", 10, 1), "rate ratio", 10)
+        assert check_gates([], gates=(gate,)) is False
+        assert "not measured -> FAIL" in capsys.readouterr().out
+
+    def test_gates_of_sections_not_run_are_not_checked(self, capsys):
+        gate = Gate(("leap", "naming", "leap", 10, 1), "rate ratio", 10)
+        assert check_gates([], sections=("fluid",), gates=(gate,))
+        assert capsys.readouterr().out == ""
+
+
 class TestRunBench:
     def test_smoke_run_produces_all_cells(self, tmp_path):
-        # N = 12 exceeds the naming bound (8), so the spread start never
-        # converges and every backend runs its whole budget.
-        points = run_bench(sizes=(12,), seed=1, scale=0.02)
-        assert len(points) == len(workloads()) * 3  # three backends
-        assert all(p.interactions > 0 and p.seconds >= 0 for p in points)
-        ratios = speedups(points)
-        assert set(ratios) == set(workloads())
-        for per_size in ratios.values():
-            cell = per_size["12"]
-            assert set(cell) == {"fast/reference", "counts/fast"}
-            assert all(v > 0 for v in cell.values())
+        out = tmp_path / "bench.json"
+        assert main(["--smoke", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        keys = [
+            (p["section"], p["workload"], p["engine"], p["n_mobile"],
+             p["replicates"])
+            for p in payload["points"]
+        ]
+        assert keys == [c.key for c in SMOKE_CELLS]
+        for p in payload["points"]:
+            assert p["seconds"] >= 0
+            # naming at N = 6 starts named and does no work: ratio 0.
+            assert (p["speedup"] is None) == (p["baseline"] is None)
+        assert payload["smoke"] is True
 
     def test_reference_backend_skipped_above_cap(self):
+        assert [c.engine for c in _ladder("naming", REFERENCE_MAX_N, 10)] \
+            == ["reference", "fast", "counts"]
         n = REFERENCE_MAX_N + 1
-        points = run_bench(sizes=(n,), seed=1, scale=0.002)
-        backends = {p.backend for p in points}
-        assert backends == {"fast", "counts"}
-        # Only the counts/fast pair is reportable without a reference.
-        ratios = speedups(points)
-        for per_size in ratios.values():
-            assert set(per_size[str(n)]) == {"counts/fast"}
-
-    def test_floor_rate_reads_largest_naming_cell(self):
-        points = run_bench(sizes=(6, 12), seed=1, scale=0.02)
-        rate = floor_rate(points)
-        expected = [
-            p
-            for p in points
-            if p.workload == "naming"
-            and p.backend == "counts"
-            and p.n_mobile == 12
+        ladder = _ladder("naming", n, 2_000)
+        assert [(c.engine, c.baseline) for c in ladder] == [
+            ("fast", None), ("counts", "fast")
         ]
-        assert rate == expected[0].rate
-        assert floor_rate([]) is None
+        points = run_bench(ladder, seed=1)
+        assert {p.engine for p in points} == {"fast", "counts"}
+        # Only the counts/fast pair is reportable without a reference.
+        assert [ratio(points, p) is None for p in points] == [True, False]
+        for table in (FULL_CELLS, SMOKE_CELLS):
+            assert all(
+                c.n <= REFERENCE_MAX_N
+                for c in table if c.engine == "reference"
+            )
+
+    def test_fast_reference_divergence_aborts(self, monkeypatch):
+        real = bench.make_simulator
+
+        def swapped(engine, *args, **kwargs):
+            # counts draws its own randomness: its results differ.
+            return real("counts" if engine == "fast" else engine, *args,
+                        **kwargs)
+
+        monkeypatch.setattr(bench, "make_simulator", swapped)
+        with pytest.raises(SimulationError, match="fast and reference"):
+            run_bench(_ladder("naming", 12, 2_000), seed=1)
+
+    def test_floor_rate_reads_largest_naming_cell(self, capsys):
+        gate = GATES[0]
+        largest = max(
+            c.n for c in cells("backends", FULL_CELLS)
+            if c.workload == "naming" and c.engine == "counts"
+        )
+        assert gate.cell == ("backends", "naming", "counts", largest, 1)
+        points = [point("backends", "counts", "fast", n=largest,
+                        work=5_000_000)]
+        assert check_gates(points, gates=(gate,))
+        assert "gate counts (rate): 5,000,000/s vs floor 1,000,000/s -> ok" \
+            in capsys.readouterr().out
 
     def test_json_payload_round_trips(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
+        points = run_bench(_ladder("naming", 6, 2_000), seed=1)
         out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02)
+        write_json(points, str(out), seed=1, smoke=True)
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "simulator"
+        assert payload["seed"] == 1
         assert len(payload["points"]) == len(points)
-        assert "speedup" in payload
+        assert all("speedup" in p and "stats" in p for p in payload["points"])
 
     def test_json_payload_records_environment(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
         out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02)
+        write_json([], str(out))
         env = json.loads(out.read_text())["environment"]
         # Perf regressions must be attributable: the report says which
         # NumPy, how many CPUs and which revision produced the numbers.
@@ -118,7 +260,7 @@ class TestRunBench:
 class TestSafeRate:
     """Regression tests for the ``seconds == 0`` sentinel: a run that
     finishes inside one timer tick must read as infinitely *fast*, not
-    infinitely slow (rate 0.0 would spuriously trip the floor gates)."""
+    infinitely slow (rate 0.0 would spuriously trip the gates)."""
 
     def test_zero_seconds_with_work_is_infinite(self):
         assert _safe_rate(100, 0.0) == float("inf")
@@ -130,229 +272,144 @@ class TestSafeRate:
         assert _safe_rate(100, 2.0) == 50.0
 
     def test_bench_point_rate_never_raises(self):
-        point = BenchPoint(
-            workload="naming",
-            backend="counts",
-            n_mobile=10,
-            interactions=1000,
-            non_null_interactions=10,
-            seconds=0.0,
-        )
-        assert point.rate == float("inf")
+        assert point("backends", "counts", seconds=0.0).rate == float("inf")
 
     def test_ensemble_point_runs_per_second_never_raises(self):
-        point = EnsembleBenchPoint(
-            engine="batch",
-            n_mobile=10,
-            replicates=8,
-            interactions=1000,
-            non_null_interactions=10,
-            seconds=0.0,
-        )
-        assert point.runs_per_second == float("inf")
-        assert point.rate == float("inf")
+        p = point("ensemble", "batch", "counts", r=8, seconds=0.0)
+        assert p.runs_per_second == float("inf")
+        assert p.rate == float("inf")
 
     def test_zero_time_cell_passes_floor_gate(self):
         # The point of the sentinel: an instantaneous batch cell must
         # satisfy any floor, not fail every floor.
-        point = EnsembleBenchPoint(
-            engine="batch",
-            n_mobile=10,
-            replicates=8,
-            interactions=1000,
-            non_null_interactions=10,
-            seconds=0.0,
-        )
-        assert ensemble_floor_rate([point]) >= 1e12
+        batch = point("ensemble", "batch", "counts", n=100_000, r=256,
+                      seconds=0.0)
+        assert check_gates([batch], gates=GATES[1:2])
 
 
 class TestEnsembleBench:
     def test_smoke_run_produces_both_engines_per_cell(self):
-        points = run_ensemble_bench(
-            sizes=(12,), replicates=(4, 8), seed=1, scale=0.02
-        )
+        points = run_bench(cells("ensemble"), seed=1)
         # counts and batch per (N, R) cell
-        assert len(points) == 2 * 2
-        assert {p.engine for p in points} == {"counts", "batch"}
-        assert all(p.interactions > 0 and p.seconds >= 0 for p in points)
-        assert all(p.runs_per_second > 0 for p in points)
-        ratios = ensemble_speedups(points)
-        assert set(ratios) == {"12"}
-        assert set(ratios["12"]) == {"R=4", "R=8"}
-        assert all(v > 0 for v in ratios["12"].values())
+        assert [(p.engine, p.replicates) for p in points] == [
+            ("counts", 4), ("batch", 4), ("counts", 8), ("batch", 8)
+        ]
+        assert all(p.work > 0 and p.runs_per_second > 0 for p in points)
+        assert all(ratio(points, p) > 0 for p in points[1::2])
 
     def test_ensemble_floor_rate_reads_widest_batch_cell(self):
-        def cell(engine, n, r, rate):
-            return EnsembleBenchPoint(
-                engine=engine,
-                n_mobile=n,
-                replicates=r,
-                interactions=int(rate),
-                non_null_interactions=0,
-                seconds=1.0,
-            )
-
-        points = [
-            cell("counts", 10, 4, 100.0),
-            cell("batch", 10, 4, 300.0),
-            cell("counts", 10, 8, 100.0),
-            cell("batch", 10, 8, 700.0),
-        ]
-        # Most replicates wins (ties would break by population size).
-        assert ensemble_floor_rate(points) == 700.0
-        assert ensemble_floor_rate([points[0]]) is None
-        assert ensemble_floor_rate([]) is None
+        batch = [c for c in cells("ensemble", FULL_CELLS)
+                 if c.engine == "batch"]
+        widest = max(batch, key=lambda c: (c.r, c.n))
+        assert GATES[1].cell == GATES[2].cell == widest.key
 
     def test_render_marks_batch_speedup(self):
-        points = run_ensemble_bench(
-            sizes=(12,), replicates=(4,), seed=1, scale=0.02
-        )
-        table = render_ensemble_points(points)
+        points = run_bench(cells("ensemble")[:2], seed=1)
+        table = render(points)
         assert "ensemble throughput" in table
         assert "x vs counts" in table
 
     def test_json_payload_includes_ensemble_section(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
-        ensemble = run_ensemble_bench(
-            sizes=(12,), replicates=(4,), seed=1, scale=0.02
-        )
+        points = run_bench(cells("ensemble")[:2], seed=1)
         out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02, ensemble=ensemble)
-        payload = json.loads(out.read_text())
-        section = payload["ensemble"]
-        assert section["workload"] == "naming"
-        assert len(section["points"]) == len(ensemble)
-        assert "speedup" in section
+        write_json(points, str(out))
+        section = json.loads(out.read_text())["points"]
+        assert [p["section"] for p in section] == ["ensemble"] * 2
+        assert section[1]["speedup"] > 0
+        assert section[1]["runs_per_second"] > 0
 
 
 class TestLeapBench:
     def test_smoke_run_produces_both_backends(self):
-        points = run_leap_bench(n=50_000, seed=1, scale=0.02)
-        assert [p.backend for p in points] == ["counts", "leap"]
-        assert all(p.interactions > 0 and p.seconds >= 0 for p in points)
-        leap_point = points[1]
-        # The leap cell reports its window statistics.
-        assert leap_point.leaps is not None and leap_point.leaps > 0
-        assert leap_point.mean_tau > 0
-        assert leap_point.repairs >= 0
+        points = run_bench(cells("leap"), seed=1)
+        assert [p.engine for p in points] == ["counts", "leap"]
+        assert all(p.work > 0 and p.seconds >= 0 for p in points)
+        stats = points[1].stats
+        # From the uniform start the leap cell takes many windows, not
+        # the single window the spread equilibrium allows.
+        assert stats["leaps"] > 1
+        assert stats["mean_tau"] > 0
+        assert stats["repairs"] >= 0
         # The counts baseline has no window statistics.
-        assert points[0].leaps is None
+        assert "leaps" not in points[0].stats
 
     def test_leap_speedup_requires_both_cells(self):
-        def cell(backend, rate):
-            return LeapBenchPoint(
-                backend=backend,
-                n_mobile=10,
-                interactions=int(rate),
-                non_null_interactions=0,
-                seconds=1.0,
-            )
-
-        assert leap_speedup([cell("counts", 100), cell("leap", 700)]) == 7.0
-        assert leap_speedup([cell("counts", 100)]) is None
-        assert leap_speedup([]) is None
+        counts = point("leap", "counts", work=100)
+        leap = point("leap", "leap", "counts", work=700)
+        assert ratio([counts, leap], leap) == 7.0
+        assert ratio([leap], leap) is None
+        assert ratio([counts, leap], counts) is None
 
     def test_render_marks_leap_speedup(self):
-        points = run_leap_bench(n=50_000, seed=1, scale=0.02)
-        table = render_leap_points(points)
+        table = render(run_bench(cells("leap"), seed=1))
         assert "leap throughput" in table
-        assert "exact baseline" in table
+        assert "leaps=" in table
         assert "x vs counts" in table
 
-    def test_leap_eps_forwarded(self):
-        points = run_leap_bench(n=50_000, seed=1, scale=0.02, leap_eps=0.2)
-        assert [p.backend for p in points] == ["counts", "leap"]
-
     def test_json_payload_includes_leap_section(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
-        leap = run_leap_bench(n=50_000, seed=1, scale=0.02)
+        points = run_bench(cells("leap"), seed=1)
         out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02, leap=leap)
-        payload = json.loads(out.read_text())
-        section = payload["leap"]
-        assert section["workload"] == "naming"
-        assert len(section["points"]) == 2
-        assert section["speedup"] > 0
+        write_json(points, str(out))
+        section = json.loads(out.read_text())["points"]
+        assert [p["engine"] for p in section] == ["counts", "leap"]
+        assert section[1]["speedup"] > 0
+        assert section[1]["stats"]["leaps"] > 1
 
 
 class TestFluidBench:
+    FLUID = _pair("fluid", "naming", "fluid", "leap", "zeros", 20_000, 1,
+                  100_000)
+
     def test_smoke_run_produces_both_backends(self):
-        points = run_fluid_bench(n=20_000, seed=1, scale=0.02)
-        assert [p.backend for p in points] == ["leap", "fluid"]
-        assert all(p.interactions > 0 and p.seconds >= 0 for p in points)
-        fluid_point = points[1]
+        points = run_bench(self.FLUID, seed=1)
+        assert [p.engine for p in points] == ["leap", "fluid"]
+        assert all(p.work > 0 and p.seconds >= 0 for p in points)
         # The fluid cell reports its ODE/handoff statistics; the
         # stochastic leap baseline has none.
-        assert fluid_point.ode_steps is not None
-        assert fluid_point.ode_steps > 0
-        assert fluid_point.handoff_backend == "leap"
-        assert points[0].ode_steps is None
+        assert points[1].stats["ode_steps"] > 0
+        assert points[1].stats["handoff_backend"] == "leap"
+        assert "ode_steps" not in points[0].stats
 
     def test_fluid_speedup_requires_both_cells(self):
-        def cell(backend, seconds):
-            return FluidBenchPoint(
-                backend=backend,
-                n_mobile=10,
-                interactions=100,
-                seconds=seconds,
-            )
-
-        points = [cell("leap", 6.0), cell("fluid", 2.0)]
-        assert fluid_speedup(points) == 3.0
-        assert fluid_speedup([points[0]]) is None
-        assert fluid_speedup([]) is None
+        # End to end: a wall-clock ratio, not a rate ratio.
+        leap = point("fluid", "leap", seconds=6.0, work=100)
+        fluid = point("fluid", "fluid", "leap", seconds=2.0, work=50)
+        assert ratio([leap, fluid], fluid) == 3.0
+        assert ratio([leap, fluid], fluid, "rate ratio") == 1.5
+        assert ratio([fluid], fluid) is None
 
     def test_render_marks_fluid_speedup(self):
-        points = run_fluid_bench(n=20_000, seed=1, scale=0.02)
-        table = render_fluid_points(points)
+        table = render(run_bench(self.FLUID, seed=1))
         assert "fluid fast-forward" in table
-        assert "stochastic baseline" in table
-        assert "ODE steps" in table
+        assert "ode_steps=" in table
+        assert "x vs leap" in table
 
     def test_json_payload_includes_fluid_section(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
-        fluid = run_fluid_bench(n=20_000, seed=1, scale=0.02)
+        points = run_bench(self.FLUID, seed=1)
         out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02, fluid=fluid)
-        payload = json.loads(out.read_text())
-        section = payload["fluid"]
-        assert section["workload"] == "naming"
-        assert len(section["points"]) == 2
-        assert section["speedup"] > 0
-        fluid_cell = [
-            p for p in section["points"] if p["backend"] == "fluid"
-        ][0]
-        assert fluid_cell["ode_steps"] > 0
-        assert fluid_cell["handoff_backend"] == "leap"
+        write_json(points, str(out))
+        section = json.loads(out.read_text())["points"]
+        assert section[1]["speedup"] > 0
+        assert section[1]["stats"]["ode_steps"] > 0
+        assert section[1]["stats"]["handoff_backend"] == "leap"
 
 
 class TestSectionsSelector:
     def test_sections_selector_runs_only_selected(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "leap",
-                "--leap-n",
-                "20000",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        assert main(["--smoke", "--sections", "leap", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["points"] == []
-        assert "leap" in payload
-        for omitted in ("ensemble", "bleap", "fluid", "parallel"):
-            assert omitted not in payload
+        assert {p["section"] for p in payload["points"]} == {"leap"}
+        assert set(payload["section_seconds"]) == {"leap"}
         shown = capsys.readouterr().out
         assert "leap throughput" in shown
         assert "ensemble throughput" not in shown
+        assert "gate" not in shown  # a smoke run checks no gate
 
     def test_all_sections_named(self):
         assert SECTIONS == (
-            "backends", "ensemble", "leap", "bleap", "fluid", "parallel"
+            "backends", "ensemble", "leap", "bleap", "fluid", "parallel",
+            "serve",
         )
 
     def test_unknown_section_is_a_usage_error(self, capsys):
@@ -361,178 +418,183 @@ class TestSectionsSelector:
         assert exc.value.code == 2
         assert "unknown section" in capsys.readouterr().err
 
-    def test_floor_for_deselected_section_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--sections", "leap", "--fluid-floor", "1.0"])
-        assert exc.value.code == 2
-        assert "deselected" in capsys.readouterr().err
-
-    def test_fluid_floor_gate_passes_on_tiny_ratio(self, tmp_path):
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "fluid",
-                "--fluid-n",
-                "20000",
-                "--fluid-floor",
-                "0.0001",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+    def test_fluid_floor_gate_passes_on_tiny_ratio(self):
+        points = run_bench(cells("fluid"), seed=1)
+        gate = Gate(cells("fluid")[1].key, "wall ratio", 0.0001)
+        assert check_gates(points, gates=(gate,))
 
 
 class TestParallelBench:
-    def test_smoke_run_produces_all_four_cells(self):
-        points = run_parallel_bench(
-            n=2_000, replicates=48, seed=1, scale=0.02, jobs=2
-        )
-        cells = {(p.kind, p.mode) for p in points}
-        assert cells == {
-            ("lockstep", "serial"),
-            ("lockstep", "sharded"),
-            ("frontier", "serial"),
-            ("frontier", "sharded"),
-        }
-        assert all(p.work > 0 and p.seconds >= 0 for p in points)
-        # Serial and sharded lockstep cells are seed-identical runs of
-        # the same workload, so they must report identical work.
-        work = {p.mode: p.work for p in points if p.kind == "lockstep"}
-        assert work["serial"] == work["sharded"]
-        ratios = parallel_speedups(points)
-        assert set(ratios) == {"lockstep", "frontier"}
-        assert all(v > 0 for v in ratios.values())
+    PARALLEL = (
+        *_pair("parallel", "naming", "sharded", "bleap", "uniform", 2_000,
+               48, 200),
+        *_pair("parallel", "naming P=6", "sharded", "reach", "roots", 9, 1,
+               0),
+    )
 
-    def test_sharded_lockstep_cell_reports_shm_transport(self):
+    def test_smoke_run_produces_all_four_cells(self):
+        points = run_bench(self.PARALLEL, seed=1)
+        assert [(p.workload, p.engine) for p in points] == [
+            ("naming", "bleap"), ("naming", "sharded"),
+            ("naming P=6", "reach"), ("naming P=6", "sharded"),
+        ]
+        assert all(p.work > 0 and p.seconds >= 0 for p in points)
+        # Serial and sharded cells are seed-identical runs of the same
+        # workload, so they must report identical work.
+        assert points[0].work == points[1].work
+        assert points[2].work == points[3].work
+        assert all(ratio(points, p) > 0 for p in points[1::2])
+
+    def test_sharded_lockstep_cell_reports_shm_transport(self, monkeypatch):
         from repro.engine.parallel import shm_available
 
-        points = run_parallel_bench(
-            n=2_000, replicates=48, seed=1, scale=0.02, jobs=2
-        )
-        sharded = [
-            p for p in points
-            if p.kind == "lockstep" and p.mode == "sharded"
-        ][0]
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        serial, sharded = run_bench(self.PARALLEL[:2], seed=1)
+        assert sharded.stats["jobs"] == 2
         if shm_available()[0]:
-            assert sharded.shards == 2
-            assert sharded.shm_bytes > 0
-            assert sharded.copy_bytes_saved > 0
-        serial = [
-            p for p in points
-            if p.kind == "lockstep" and p.mode == "serial"
-        ][0]
-        assert serial.shards is None
+            assert sharded.stats["shards"] == 2
+            assert sharded.stats["shm_bytes"] > 0
+            assert sharded.stats["copy_bytes_saved"] > 0
+        assert "shards" not in serial.stats
+        assert "jobs" not in serial.stats
 
     def test_render_marks_speedup_and_transport(self):
         points = [
-            ParallelBenchPoint(
-                kind="lockstep", mode="serial", n_mobile=100,
-                replicates=8, work=800, seconds=0.2, jobs=1,
-            ),
-            ParallelBenchPoint(
-                kind="lockstep", mode="sharded", n_mobile=100,
-                replicates=8, work=800, seconds=0.1, jobs=4,
-                shards=4, shm_bytes=4096, copy_bytes_saved=2048,
-            ),
+            point("parallel", "bleap", n=100, r=8, work=800, seconds=0.2),
+            point("parallel", "sharded", "bleap", n=100, r=8, work=800,
+                  seconds=0.1, shards=4, shm_bytes=4096,
+                  copy_bytes_saved=2048, jobs=4),
         ]
-        table = render_parallel_points(points)
+        table = render(points)
         assert "shared-memory sharding" in table
-        assert "2.00x vs serial" in table
-        assert "4 shards" in table
-        assert "copies saved" in table
+        assert "2.00x vs bleap" in table
+        assert "shards=4" in table
+        assert "copy_bytes_saved=2,048" in table
 
     def test_json_payload_includes_parallel_section(self, tmp_path):
-        points = run_parallel_bench(
-            n=2_000, replicates=48, seed=1, scale=0.02, jobs=2
-        )
+        points = run_bench(self.PARALLEL, seed=1)
         out = tmp_path / "bench.json"
-        write_json([], str(out), seed=1, scale=0.02, parallel=points)
-        payload = json.loads(out.read_text())
-        section = payload["parallel"]
-        assert len(section["points"]) == 4
-        assert set(section["speedup"]) == {"lockstep", "frontier"}
-        for cell in section["points"]:
+        write_json(points, str(out))
+        section = json.loads(out.read_text())["points"]
+        assert len(section) == 4
+        for cell in section:
             assert cell["seconds"] >= 0
             assert cell["work"] > 0
+        assert section[1]["speedup"] > 0 and section[3]["speedup"] > 0
 
     def test_json_payload_records_section_wall_clock(self, tmp_path):
-        # Satellite: every section that ran reports its wall-clock cost
-        # and the payload totals them.
+        # Every section that ran reports its wall-clock cost and the
+        # payload totals them.
         out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "parallel",
-                "--parallel-n",
-                "2000",
-                "--parallel-reps",
-                "48",
-                "--parallel-jobs",
-                "2",
-                "--out",
-                str(out),
-            ]
-        )
+        code = main(["--smoke", "--sections", "parallel,fluid",
+                     "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert set(payload["section_seconds"]) == {"parallel"}
-        assert payload["section_seconds"]["parallel"] > 0
+        assert list(payload["section_seconds"]) == ["fluid", "parallel"]
+        assert all(v > 0 for v in payload["section_seconds"].values())
         assert payload["total_seconds"] == pytest.approx(
             sum(payload["section_seconds"].values())
         )
 
-    def test_floor_gate_skips_below_core_floor(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    SLOW_SHARDING = [
+        point("parallel", "bleap", n=100_000, r=1_024, seconds=1.0),
+        point("parallel", "sharded", "bleap", n=100_000, r=1_024,
+              seconds=2.0),
+    ]
+
+    def test_floor_gate_skips_below_core_floor(self, capsys, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: PARALLEL_MIN_CORES - 1)
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "parallel",
-                "--parallel-n",
-                "2000",
-                "--parallel-reps",
-                "48",
-                "--parallel-jobs",
-                "2",
-                "--parallel-floor",
-                "1000.0",
-                "--out",
-                str(out),
-            ]
-        )
-        # An absurd floor cannot fail the run on a small host: the
-        # gate is reported but skipped below the core floor.
-        assert code == 0
-        assert "skipped" in capsys.readouterr().out
+        # A 0.5x ratio cannot fail the run on a small host: the gate is
+        # reported but skipped below the core floor.
+        assert check_gates(self.SLOW_SHARDING, sections=("parallel",))
+        shown = capsys.readouterr().out
+        assert "0.50x on 3 core(s) -> skipped" in shown
 
     def test_floor_gate_enforced_at_or_above_core_floor(
-        self, tmp_path, capsys, monkeypatch
+        self, capsys, monkeypatch
     ):
         monkeypatch.setattr("os.cpu_count", lambda: PARALLEL_MIN_CORES)
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "parallel",
-                "--parallel-n",
-                "2000",
-                "--parallel-reps",
-                "48",
-                "--parallel-jobs",
-                "2",
-                "--parallel-floor",
-                "0.0001",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert "parallel floor check" in capsys.readouterr().out
+        assert not check_gates(self.SLOW_SHARDING, sections=("parallel",))
+        assert "gate sharded/bleap (rate ratio): 0.50x vs floor 2.00x -> " \
+            "FAIL" in capsys.readouterr().out
+
+
+class TestServeBench:
+    @pytest.fixture(autouse=True)
+    def small_burst(self, monkeypatch):
+        monkeypatch.setattr(bench, "SERVE_JOBS", 3)
+
+    def test_three_passes_over_the_same_burst(self):
+        points = run_bench(tiny_serve(), seed=1)
+        assert [p.engine for p in points] == ["cold", "warm", "memo"]
+        # 3 jobs x 2 seeds x 200 interactions, on every pass.
+        assert {p.work for p in points} == {3 * 2 * 200}
+        assert points[1].stats["memo_hits"] == 0
+        assert points[2].stats["memo_hits"] == 3
+        assert ratio(points, points[1]) > 0
+        assert ratio(points, points[2]) > 0
+        assert "serving layer" in render(points)
+
+    def test_each_repeat_gets_a_fresh_pool(self, monkeypatch):
+        from repro.serve.pool import ServePool
+
+        pools = []
+        real_warm = ServePool.warm
+
+        def warm(self):
+            pools.append(self)
+            real_warm(self)
+
+        monkeypatch.setattr(ServePool, "warm", warm)
+        run_bench(tiny_serve(repeats=2)[:2], seed=1)
+        assert len({id(pool) for pool in pools}) == 2
+        assert len({str(pool.cache.root) for pool in pools}) == 2
+
+    def test_mismatching_warm_ensemble_aborts(self, monkeypatch):
+        real = bench.run_ensemble
+
+        def short(*args, **kwargs):
+            kwargs["max_interactions"] -= 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_ensemble", short)  # cold only
+        with pytest.raises(SimulationError, match="warm and cold"):
+            run_bench(tiny_serve(), seed=1)
+
+    def test_mismatching_memo_ensemble_aborts(self, monkeypatch):
+        from repro.serve.memo import ResultMemo
+
+        real = ResultMemo.lookup
+
+        def reversed_lookup(self, key):
+            stored = real(self, key)
+            return stored[::-1] if stored else stored
+
+        monkeypatch.setattr(ResultMemo, "lookup", reversed_lookup)
+        with pytest.raises(SimulationError, match="memo and cold"):
+            run_bench(tiny_serve(), seed=1)
+
+    def test_warm_memo_hit_aborts(self, monkeypatch):
+        from repro.serve.pool import ServePool
+
+        real = ServePool.submit
+
+        def submit(self, spec, *args, **kwargs):
+            self.memo_hits += 1
+            return real(self, spec, *args, **kwargs)
+
+        monkeypatch.setattr(ServePool, "submit", submit)
+        with pytest.raises(SimulationError, match="hit the result memo"):
+            run_bench(tiny_serve()[:2], seed=1)
+
+    def test_serve_gate_passes_and_fails(self, capsys):
+        gate = GATES[-1]
+        cold = point("serve", "cold", n=100, r=6, seconds=1.0)
+        for warm_seconds, passed in ((0.25, True), (0.5, False)):
+            warm = point("serve", "warm", "cold", n=100, r=6,
+                         seconds=warm_seconds)
+            assert check_gates([cold, warm], gates=(gate,)) is passed
+        shown = capsys.readouterr().out
+        assert "gate warm/cold (wall ratio): 4.00x vs floor 3.00x -> ok" \
+            in shown
+        assert "2.00x vs floor 3.00x -> FAIL" in shown

@@ -214,8 +214,8 @@ class TestDelegation:
             [
                 "bench",
                 "--smoke",
-                "--sizes",
-                "6",
+                "--sections",
+                "backends",
                 "--out",
                 str(out_path),
             ]
