@@ -79,7 +79,6 @@ def cached_check(
     max_nodes: int = 2_000_000,
     max_roots: int | None = None,
     cache=None,
-    n_jobs: int = 1,
 ) -> SymbolicVerdict:
     """:func:`repro.analysis.symbolic.check_property`, memoized.
 
@@ -90,19 +89,12 @@ def cached_check(
     protocol instances - across processes sharing a cache root - reuse
     one verified result.  Protocols without a fingerprint, or calls
     without a cache, fall through to a plain check.
-
-    ``n_jobs`` shards the frontier expansion across processes
-    (:func:`repro.analysis.symbolic.reach`).  It is an execution knob,
-    not a semantic one - verdicts are bit-identical at any width - so
-    it deliberately stays **out** of the cache key: serial and sharded
-    runs share stored verdicts.
     """
     kwargs = dict(
         mobile_mode=mobile_mode,
         leader_states=leader_states,
         max_nodes=max_nodes,
         max_roots=max_roots,
-        n_jobs=n_jobs,
     )
     if cache is None:
         return check_property(protocol, prop, n_mobile, **kwargs)
@@ -208,15 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the frontier expansion; verdicts are "
-            "bit-identical at any width (default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         help=(
@@ -317,7 +300,6 @@ def main(argv: list[str] | None = None) -> int:
                 max_nodes=args.max_nodes,
                 max_roots=args.max_roots,
                 cache=cache,
-                n_jobs=max(1, args.jobs),
             )
         except VerificationError as exc:
             print(f"check aborted: {prop}: {exc}")

@@ -586,245 +586,11 @@ class ReachSet:
         return here, rids
 
 
-#: Worker-side compiled mobile-mobile rule arrays, installed once per
-#: worker by :func:`_reach_worker_init` so tasks carry only indices.
-_REACH_RULES: tuple | None = None
-
-#: Worker-side cached attachment to the current frontier block, keyed
-#: by segment name: every task of one BFS level shares one frontier, so
-#: the worker attaches once per level, not once per task.
-_REACH_FRONTIER: tuple | None = None
-
-
-def _reach_worker_init(mm_i, mm_j, mm_delta, mm_rid) -> None:
-    """Process-pool initializer: install the system's mm-rule arrays."""
-    global _REACH_RULES
-    _REACH_RULES = (mm_i, mm_j, mm_delta, mm_rid)
-
-
-def _reach_expand_tile(task: tuple) -> tuple:
-    """Expand one (rule, frontier-tile) pair against the shared frontier.
-
-    Reads rows ``[lo, hi)`` of the level's shared frontier block,
-    applies rule ``t``'s guard mask and delta, and returns the matching
-    frontier indices (global, i.e. offset by ``lo``) with their
-    successor rows.  The returned arrays are small (only the rows the
-    guard admits); the frontier itself never crosses the pipe.
-    """
-    meta, t, lo, hi = task
-    global _REACH_FRONTIER
-    from repro.engine.parallel import SharedBlock
-
-    if _REACH_FRONTIER is None or _REACH_FRONTIER[0] != meta.name:
-        if _REACH_FRONTIER is not None:
-            _REACH_FRONTIER[1].close()
-        _REACH_FRONTIER = (meta.name, SharedBlock.attach(meta))
-    F = _REACH_FRONTIER[1].array
-    mm_i, mm_j, mm_delta, mm_rid = _REACH_RULES
-    tile = F[lo:hi]
-    i = mm_i[t]
-    j = mm_j[t]
-    if i == j:
-        mask = tile[:, i] >= 2
-    else:
-        mask = (tile[:, i] >= 1) & (tile[:, j] >= 1)
-    src_local = np.nonzero(mask)[0]
-    if not len(src_local):
-        return t, lo, None, None
-    succ = tile[src_local] + mm_delta[t]
-    return t, lo, (src_local + lo).astype(np.int64), np.ascontiguousarray(succ)
-
-
-#: Smallest ``frontier rows x mm rules`` product worth fanning a level
-#: out to workers; below it the per-level dispatch overhead dominates.
-_REACH_PARALLEL_MIN_WORK = 4096
-
-
-class _ReachSharder:
-    """Shared-memory fan-out of one reach call's frontier expansions.
-
-    Owns a worker pool (created lazily, on the first level big enough
-    to shard) whose workers hold the system's mm-rule arrays; per level
-    it publishes the frontier block once over shared memory and
-    partitions the ``rules x tiles`` grid across the workers.  Results
-    come back merged **rule-major, tile-ascending** - exactly the order
-    the serial loop generates batches in - so downstream dedup sees an
-    identical stream and the resulting :class:`ReachSet` is
-    bit-identical to serial.
-    """
-
-    def __init__(self, system: CountsSystem, n_jobs: int) -> None:
-        self.system = system
-        self.n_jobs = n_jobs
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_jobs,
-                initializer=_reach_worker_init,
-                initargs=(
-                    self.system._mm_i,
-                    self.system._mm_j,
-                    self.system._mm_delta,
-                    self.system._mm_rid,
-                ),
-            )
-        return self._pool
-
-    def expand_mm(self, F: np.ndarray) -> list[tuple]:
-        """The level's mm-rule batches, sharded when big enough."""
-        system = self.system
-        n_rules = len(system._mm_rid)
-        if len(F) * n_rules < _REACH_PARALLEL_MIN_WORK:
-            return _expand_mm_serial(system, F)
-        from repro.engine.parallel import SharedBlock
-
-        pool = self._ensure_pool()
-        block = SharedBlock.create(F.shape, str(F.dtype))
-        try:
-            block.array[:] = F
-            tile = -(-len(F) // self.n_jobs)
-            tasks = [
-                (block.meta, t, lo, min(lo + tile, len(F)))
-                for t in range(n_rules)
-                for lo in range(0, len(F), tile)
-            ]
-            batches: list[tuple] = []
-            for t, _lo, src_local, succ in pool.map(
-                _reach_expand_tile,
-                tasks,
-                chunksize=max(1, len(tasks) // (self.n_jobs * 4)),
-            ):
-                if src_local is None:
-                    continue
-                rid = np.full(
-                    len(src_local), system._mm_rid[t], dtype=np.int64
-                )
-                batches.append((src_local, succ, rid))
-            return batches
-        finally:
-            block.close()
-            block.unlink()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-
-
-def _expand_mm_serial(system: CountsSystem, F: np.ndarray) -> list[tuple]:
-    """Mobile-mobile rule batches over one frontier block, in rule order."""
-    batches: list[tuple] = []
-    for t in range(len(system._mm_rid)):
-        i = system._mm_i[t]
-        j = system._mm_j[t]
-        if i == j:
-            mask = F[:, i] >= 2
-        else:
-            mask = (F[:, i] >= 1) & (F[:, j] >= 1)
-        src_local = np.nonzero(mask)[0]
-        if not len(src_local):
-            continue
-        succ = F[src_local] + system._mm_delta[t]
-        rid = np.full(len(src_local), system._mm_rid[t], dtype=np.int64)
-        batches.append((src_local, succ, rid))
-    return batches
-
-
-def _expand_lm(system: CountsSystem, F: np.ndarray) -> list[tuple]:
-    """Leader-mobile rule batches, bucketed by the frontier's leaders.
-
-    Always runs in the parent: leader groups compile lazily against
-    the live system, and the serial batch order (leader buckets after
-    every mm rule) is part of the dedup contract.
-    """
-    batches: list[tuple] = []
-    M = system.M
-    lv = F[:, M]
-    for li in np.unique(lv):
-        sel = np.nonzero(lv == li)[0]
-        group = system.leader_group(int(li))
-        for g in range(len(group.rid)):
-            mask = F[sel, group.s[g]] >= 1
-            src_local = sel[mask]
-            if not len(src_local):
-                continue
-            succ = F[src_local] + group.delta[g]
-            succ[:, M] = group.post[g]
-            rid = np.full(len(src_local), group.rid[g], dtype=np.int64)
-            batches.append((src_local, succ, rid))
-    return batches
-
-
-def _merge_level(
-    rs: ReachSet,
-    frontier: list[int],
-    batches: list[tuple],
-    max_nodes: int,
-    track_edges: bool,
-) -> list[int]:
-    """Vectorized packed-row dedup of one level's successor batches.
-
-    Equivalent to the serial per-successor loop, occurrence for
-    occurrence: rows are packed to fixed-width byte keys and
-    deduplicated with :func:`numpy.unique` whose ``return_index`` gives
-    each key's **first** occurrence - the same occurrence whose
-    ``(src, rule)`` the serial loop records as the predecessor.  New
-    nodes are appended in first-encounter order, so node ids, the
-    predecessor forest, the edge stream and the ``max_nodes`` overflow
-    point all come out identical to serial.
-    """
-    if not batches:
-        return []
-    src_all = np.concatenate([b[0] for b in batches])
-    succ_all = np.ascontiguousarray(
-        np.concatenate([b[1] for b in batches]), dtype=np.int32
-    )
-    rid_all = np.concatenate([b[2] for b in batches])
-    frontier_arr = np.asarray(frontier, dtype=np.int64)
-    src_nodes = frontier_arr[src_all]
-    width = succ_all.shape[1]
-    keys = succ_all.view(
-        np.dtype((np.void, succ_all.dtype.itemsize * width))
-    ).ravel()
-    uniq, first_idx, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    next_frontier: list[int] = []
-    tgt_of_uniq = np.empty(len(uniq), dtype=np.int64)
-    for u in np.argsort(first_idx, kind="stable"):
-        key = uniq[u].tobytes()
-        tgt = rs.index.get(key)
-        if tgt is None:
-            if len(rs.rows) >= max_nodes:
-                raise VerificationError(
-                    f"symbolic frontier exceeded {max_nodes} "
-                    "nodes; use a smaller instance"
-                )
-            n = first_idx[u]
-            tgt = len(rs.rows)
-            rs.index[key] = tgt
-            rs.rows.append(succ_all[n].copy())
-            rs.pred.append(int(src_nodes[n]))
-            rs.pred_rule.append(int(rid_all[n]))
-            next_frontier.append(tgt)
-        tgt_of_uniq[u] = tgt
-    if track_edges:
-        rs.edges_src.extend(src_nodes.tolist())
-        rs.edges_dst.extend(tgt_of_uniq[inverse].tolist())
-        rs.edges_rule.extend(rid_all.tolist())
-    return next_frontier
-
-
 def reach(
     system: CountsSystem,
     roots: np.ndarray,
     max_nodes: int = 2_000_000,
     track_edges: bool = False,
-    n_jobs: int = 1,
 ) -> ReachSet:
     """Breadth-first frontier fixpoint over the counts quotient.
 
@@ -833,15 +599,6 @@ def reach(
     only the per-successor dedup against the visited set runs at Python
     speed.  Raises :class:`VerificationError` when the reachable set
     exceeds ``max_nodes``.
-
-    With ``n_jobs > 1`` (and working POSIX shared memory - otherwise a
-    :class:`~repro.errors.BackendFallbackWarning` and the serial path)
-    each level's mobile-mobile expansion fans out across worker
-    processes: the frontier block ships once per level over shared
-    memory, the ``rules x tiles`` grid is partitioned across workers,
-    and the merged levels are deduplicated with a vectorized packed-row
-    pass whose order reproduces the serial loop exactly - the returned
-    :class:`ReachSet` is bit-identical either way.
     """
     rs = ReachSet(
         system=system,
@@ -868,59 +625,63 @@ def reach(
     if not rs.rows:
         raise VerificationError("no initial count vectors supplied")
 
-    sharder = None
-    if n_jobs > 1:
-        from repro.engine.fast import warn_fallback
-        from repro.engine.parallel import shm_available
-
-        available, reason = shm_available()
-        if available:
-            sharder = _ReachSharder(system, n_jobs)
-        else:
-            warn_fallback("check-parallel", "serial frontier", reason)
-    try:
-        while frontier:
-            F = np.stack([rs.rows[k] for k in frontier])
-            if sharder is not None:
-                batches = sharder.expand_mm(F)
+    M = system.M
+    while frontier:
+        F = np.stack([rs.rows[k] for k in frontier])
+        batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # Mobile-mobile rules over the whole frontier block.
+        for t in range(len(system._mm_rid)):
+            i = system._mm_i[t]
+            j = system._mm_j[t]
+            if i == j:
+                mask = F[:, i] >= 2
             else:
-                batches = _expand_mm_serial(system, F)
-            # Leader-mobile rules, bucketed by the frontier's leader
-            # values - after every mm rule, as the dedup order requires.
-            if system.has_leader:
-                batches.extend(_expand_lm(system, F))
-            if sharder is not None:
-                frontier = _merge_level(
-                    rs, frontier, batches, max_nodes, track_edges
-                )
+                mask = (F[:, i] >= 1) & (F[:, j] >= 1)
+            src_local = np.nonzero(mask)[0]
+            if not len(src_local):
                 continue
-            next_frontier: list[int] = []
-            for src_local, succ, rid in batches:
-                for n in range(len(src_local)):
-                    key = succ[n].tobytes()
-                    src = frontier[src_local[n]]
-                    tgt = rs.index.get(key)
-                    if tgt is None:
-                        if len(rs.rows) >= max_nodes:
-                            raise VerificationError(
-                                f"symbolic frontier exceeded {max_nodes} "
-                                "nodes; use a smaller instance"
-                            )
-                        tgt = len(rs.rows)
-                        rs.index[key] = tgt
-                        rs.rows.append(succ[n].copy())
-                        rs.pred.append(src)
-                        rs.pred_rule.append(int(rid[n]))
-                        next_frontier.append(tgt)
-                    if track_edges:
-                        rs.edges_src.append(src)
-                        rs.edges_dst.append(tgt)
-                        rs.edges_rule.append(int(rid[n]))
-            frontier = next_frontier
-        return rs
-    finally:
-        if sharder is not None:
-            sharder.close()
+            succ = F[src_local] + system._mm_delta[t]
+            rid = np.full(len(src_local), system._mm_rid[t], dtype=np.int64)
+            batches.append((src_local, succ, rid))
+        # Leader-mobile rules, bucketed by the frontier's leader values.
+        if system.has_leader:
+            lv = F[:, M]
+            for li in np.unique(lv):
+                sel = np.nonzero(lv == li)[0]
+                group = system.leader_group(int(li))
+                for g in range(len(group.rid)):
+                    mask = F[sel, group.s[g]] >= 1
+                    src_local = sel[mask]
+                    if not len(src_local):
+                        continue
+                    succ = F[src_local] + group.delta[g]
+                    succ[:, M] = group.post[g]
+                    rid = np.full(len(src_local), group.rid[g], dtype=np.int64)
+                    batches.append((src_local, succ, rid))
+        next_frontier: list[int] = []
+        for src_local, succ, rid in batches:
+            for n in range(len(src_local)):
+                key = succ[n].tobytes()
+                src = frontier[src_local[n]]
+                tgt = rs.index.get(key)
+                if tgt is None:
+                    if len(rs.rows) >= max_nodes:
+                        raise VerificationError(
+                            f"symbolic frontier exceeded {max_nodes} "
+                            "nodes; use a smaller instance"
+                        )
+                    tgt = len(rs.rows)
+                    rs.index[key] = tgt
+                    rs.rows.append(succ[n].copy())
+                    rs.pred.append(src)
+                    rs.pred_rule.append(int(rid[n]))
+                    next_frontier.append(tgt)
+                if track_edges:
+                    rs.edges_src.append(src)
+                    rs.edges_dst.append(tgt)
+                    rs.edges_rule.append(int(rid[n]))
+        frontier = next_frontier
+    return rs
 
 
 # ----------------------------------------------------------------------
@@ -1509,22 +1270,19 @@ def check_reach(
     max_roots: int | None = None,
     name_of: Callable[[State], object] | None = None,
     validate: bool = True,
-    n_jobs: int = 1,
 ) -> SymbolicVerdict:
     """Naming-on-silence as a frontier-intersection query.
 
     Silence is terminal, so a reachable silent configuration with
     duplicate projected names refutes naming under *every* fairness
-    notion.  Exact on the quotient.  ``n_jobs > 1`` shards the frontier
-    expansion over worker processes (verdict-identical; see
-    :func:`reach`).
+    notion.  Exact on the quotient.
     """
     system = CountsSystem(protocol, name_of)
     population = Population(n_mobile, protocol.requires_leader)
     roots = system.root_matrix(
         n_mobile, mobile_mode, leader_states, max_roots
     )
-    rs = reach(system, roots, max_nodes=max_nodes, n_jobs=n_jobs)
+    rs = reach(system, roots, max_nodes=max_nodes)
     violating = np.nonzero(silent_mask(rs) & duplicate_mask(rs))[0]
     if not len(violating):
         return SymbolicVerdict(
@@ -1577,7 +1335,6 @@ def check_sinks(
     max_roots: int | None = None,
     name_of: Callable[[State], object] | None = None,
     validate: bool = True,
-    n_jobs: int = 1,
 ) -> SymbolicVerdict:
     """Sink-SCC naming discipline on the quotient.
 
@@ -1585,16 +1342,13 @@ def check_sinks(
     SCC must be free of name-changing internal edges (livelock) and
     consist of duplicate-free name vectors.  For symmetric protocols the
     details also record the Proposition 6 state-level unique-sink audit.
-    ``n_jobs > 1`` shards the frontier expansion (verdict-identical).
     """
     system = CountsSystem(protocol, name_of)
     population = Population(n_mobile, protocol.requires_leader)
     roots = system.root_matrix(
         n_mobile, mobile_mode, leader_states, max_roots
     )
-    rs = reach(
-        system, roots, max_nodes=max_nodes, track_edges=True, n_jobs=n_jobs
-    )
+    rs = reach(system, roots, max_nodes=max_nodes, track_edges=True)
     components = symbolic_sccs(rs)
     comp_of = np.zeros(rs.n_nodes, dtype=np.int64)
     for cid, comp in enumerate(components):
@@ -1747,7 +1501,6 @@ def check_liveness(
     validate: bool = True,
     rounds: int = 2,
     max_fiber: int = 200_000,
-    n_jobs: int = 1,
 ) -> SymbolicVerdict:
     """Weak-fairness naming via candidate-SCC fiber expansion.
 
@@ -1765,9 +1518,7 @@ def check_liveness(
     roots = system.root_matrix(
         n_mobile, mobile_mode, leader_states, max_roots
     )
-    rs = reach(
-        system, roots, max_nodes=max_nodes, track_edges=True, n_jobs=n_jobs
-    )
+    rs = reach(system, roots, max_nodes=max_nodes, track_edges=True)
     components = symbolic_sccs(rs)
     comp_of = np.zeros(rs.n_nodes, dtype=np.int64)
     for cid, comp in enumerate(components):

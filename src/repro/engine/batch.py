@@ -123,10 +123,9 @@ REFILL_STEPS = 128
 
 #: Column layout of :attr:`LockstepRaw.scalars` - one int64 row per
 #: replicate, fixed width, so a whole ensemble's non-matrix outcome fits
-#: one (R, :data:`N_SCALARS`) block that shared-memory workers can write
-#: in place (see :mod:`repro.engine.parallel`).  ``leader_pos`` encodes
-#: ``None`` as ``-1``; the leap columns stay zero on the exact batch
-#: kernel (``has_leap`` on the raw says whether they are meaningful).
+#: one (R, :data:`N_SCALARS`) block.  ``leader_pos`` encodes ``None`` as
+#: ``-1``; the leap columns stay zero on the exact batch kernel
+#: (``has_leap`` on the raw says whether they are meaningful).
 SCALAR_FIELDS = (
     "interactions",
     "events",
@@ -139,8 +138,8 @@ SCALAR_FIELDS = (
 )
 N_SCALARS = len(SCALAR_FIELDS)
 
-#: Scalar column indices by name (module-level so the parallel layer and
-#: both lockstep kernels agree on one layout).
+#: Scalar column indices by name (module-level so both lockstep kernels
+#: and :func:`materialize_raw` agree on one layout).
 COL = {name: k for k, name in enumerate(SCALAR_FIELDS)}
 
 
@@ -150,13 +149,9 @@ class LockstepRaw:
 
     ``counts`` is the final (R, S) counts matrix, ``scalars`` the
     (R, :data:`N_SCALARS`) per-replicate outcome block laid out by
-    :data:`SCALAR_FIELDS`.  This is the whole result: the parallel
-    layer transports exactly these two arrays over shared memory
-    (workers write their row-slices in place) and
-    :func:`materialize_raw` turns any row range into
-    :class:`~repro.engine.simulator.SimulationResult` objects - the
-    same function the serial path uses, so serial and sharded
-    materialization are one code path.
+    :data:`SCALAR_FIELDS`.  This is the whole result:
+    :func:`materialize_raw` turns it into
+    :class:`~repro.engine.simulator.SimulationResult` objects.
     """
 
     counts: "object"  # (R, S) int64 ndarray
@@ -177,20 +172,13 @@ def materialize_raw(
     raw: LockstepRaw,
     max_interactions: int,
     raise_on_timeout: bool,
-    shards: int | None = None,
-    shm_bytes: int | None = None,
-    copy_bytes_saved: int | None = None,
 ) -> list[SimulationResult]:
     """Build per-replicate results from a kernel's raw arrays.
 
-    Shared by the serial lockstep paths and the shared-memory parallel
-    layer (which calls it on attached views), so both produce identical
-    :class:`SimulationResult` objects: final configurations are lazy
+    Shared by both lockstep kernels: final configurations are lazy
     :class:`~repro.engine.counts.CountsConfiguration` representatives
-    (O(S) per row - the O(N) expansion happens only if a caller looks),
-    wall clock is attributed in equal per-row shares, and the optional
-    ``shards``/``shm_bytes``/``copy_bytes_saved`` annotations land in
-    each row's :class:`RunStats`.
+    (O(S) per row - the O(N) expansion happens only if a caller looks)
+    and wall clock is attributed in equal per-row shares.
     """
     n_rows = raw.n_rows
     share = raw.wall_seconds / n_rows if n_rows else 0.0
@@ -252,9 +240,6 @@ def materialize_raw(
                     mean_tau=mean_tau,
                     repairs=repairs,
                     ssa_fallback_rows=ssa_fallback_rows,
-                    shards=shards,
-                    shm_bytes=shm_bytes,
-                    copy_bytes_saved=copy_bytes_saved,
                 ),
             )
         )
@@ -535,50 +520,6 @@ class BatchedEnsembleSimulator:
     # ------------------------------------------------------------------
     # The lockstep kernel
     # ------------------------------------------------------------------
-
-    def run_replicates_raw(
-        self,
-        initials: "Sequence[Configuration]",
-        schedulers: list[Scheduler],
-        max_interactions: int = 1_000_000,
-        fault_hook: FaultHook | None = None,
-    ) -> tuple[LockstepRaw | None, str | None]:
-        """Run replicates natively, returning raw arrays instead of results.
-
-        The entry point of the shared-memory parallel layer
-        (:mod:`repro.engine.parallel`): on success the returned
-        :class:`LockstepRaw` holds the final (R, S) counts matrix and
-        the (R, N_SCALARS) outcome block, which a worker writes straight
-        into a shared buffer - no per-replicate result objects, no
-        pickling.  When the lockstep preconditions do not hold, returns
-        ``(None, reason)`` **without** warning or falling back; the
-        caller decides how to degrade (the parallel layer reruns the
-        chunk through :meth:`run_replicates`, which warns once and
-        delegates down the ladder).
-        """
-        if len(initials) != len(schedulers):
-            raise SimulationError(
-                f"{len(initials)} initial configurations for "
-                f"{len(schedulers)} schedulers"
-            )
-        if not len(initials):
-            return None, "empty replicate set"
-        interned, leaders, reason = self._batch_preconditions(
-            initials, schedulers=schedulers, fault_hook=fault_hook
-        )
-        if reason is not None:
-            self.last_run_lockstep = False
-            return None, reason
-        self.last_run_lockstep = True
-        return (
-            self._lockstep_raw(
-                interned,
-                leaders,
-                [getattr(s, "seed", None) for s in schedulers],
-                max_interactions,
-            ),
-            None,
-        )
 
     def _run_lockstep(
         self,

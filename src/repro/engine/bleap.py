@@ -437,45 +437,6 @@ class BatchedLeapSimulator:
     # The windowed lockstep kernel
     # ------------------------------------------------------------------
 
-    def run_replicates_raw(
-        self,
-        initials: "Sequence[Configuration]",
-        schedulers: list[Scheduler],
-        max_interactions: int = 1_000_000,
-        fault_hook: FaultHook | None = None,
-    ) -> tuple[LockstepRaw | None, str | None]:
-        """Run replicates natively, returning raw arrays instead of results.
-
-        The bleap entry point of the shared-memory parallel layer;
-        see :meth:`BatchedEnsembleSimulator.run_replicates_raw`.  On
-        precondition failure returns ``(None, reason)`` without warning
-        or delegating - the caller reruns through :meth:`run_replicates`
-        which does both.
-        """
-        if len(initials) != len(schedulers):
-            raise SimulationError(
-                f"{len(initials)} initial configurations for "
-                f"{len(schedulers)} schedulers"
-            )
-        if not len(initials):
-            return None, "empty replicate set"
-        interned, leaders, reason = self._batch._batch_preconditions(
-            initials, schedulers=schedulers, fault_hook=fault_hook
-        )
-        if reason is not None:
-            self.last_run_native = False
-            return None, reason
-        self.last_run_native = True
-        return (
-            self._windows_raw(
-                interned,
-                leaders,
-                [getattr(s, "seed", None) for s in schedulers],
-                max_interactions,
-            ),
-            None,
-        )
-
     def _run_windows(
         self,
         rows: list[list[int]],

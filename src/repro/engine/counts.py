@@ -285,10 +285,9 @@ class CountsConfiguration(Configuration):
     configuration is never inspected costs O(S), not O(N).
 
     This is what lets the lockstep engines return R-replicate ensembles
-    without holding R O(N) tuples alive, and what lets the shared-memory
-    parallel layer (:mod:`repro.engine.parallel`) transport results as
-    (R, S) count rows with no per-agent pickling: pickling one of these
-    ships the pairs, not the expansion.
+    without holding R O(N) tuples alive, and what lets parallel
+    ensembles return results from worker processes with no per-agent
+    pickling: pickling one of these ships the pairs, not the expansion.
     """
 
     __slots__ = ("_pairs", "_lazy_leader", "_states_cache")
@@ -391,9 +390,8 @@ def materialize_counts_lazy(
     Returns a :class:`CountsConfiguration` equal (``==``, ``hash``) to
     ``materialize_counts(table, n_mobile, counts, leader_pos)`` but
     holding only the nonzero ``(state, count)`` pairs; the O(N) states
-    tuple is expanded on first access.  Used by the lockstep engines and
-    the shared-memory parallel layer, where final configurations are
-    frequently never inspected per agent.
+    tuple is expanded on first access.  Used by the lockstep engines,
+    whose final configurations are frequently never inspected per agent.
     """
     objs = table.states
     pairs = tuple(

@@ -137,13 +137,6 @@ class EnsembleResult:
         over all runs, ``handoff_time`` is the mean handoff interaction
         position, and ``handoff_backend`` is carried through when every
         run handed off to the same engine.
-
-        When the ensemble ran sharded over shared memory
-        (:mod:`repro.engine.parallel`) the transport fields are carried
-        too: ``shards`` and ``shm_bytes`` describe the one shared
-        allocation (identical on every row, so they carry through
-        rather than sum) and ``copy_bytes_saved`` sums the result bytes
-        that crossed the process boundary in place instead of pickled.
         """
         timed = [r for r in self.results if r.stats is not None]
         if not timed:
@@ -178,15 +171,6 @@ class EnsembleResult:
                 if s.ssa_fallback_rows is not None
             ]
             ssa_fallback_rows = sum(ssa) if ssa else None
-        shards = shm_bytes = copy_bytes_saved = None
-        sharded = [r.stats for r in timed if r.stats.shards is not None]
-        if sharded:
-            # Every sharded row describes the same single allocation, so
-            # shards/shm_bytes carry through; copy_bytes_saved is per
-            # row, so summing it totals the job's un-pickled bytes.
-            shards = max(s.shards for s in sharded)
-            shm_bytes = max(s.shm_bytes or 0 for s in sharded)
-            copy_bytes_saved = sum(s.copy_bytes_saved or 0 for s in sharded)
         return RunStats(
             wall_seconds=sum(r.stats.wall_seconds for r in timed),
             interactions_per_second=(
@@ -205,9 +189,6 @@ class EnsembleResult:
             ode_steps=ode_steps,
             handoff_time=handoff_time,
             handoff_backend=handoff_backend,
-            shards=shards,
-            shm_bytes=shm_bytes,
-            copy_bytes_saved=copy_bytes_saved,
         )
 
 
@@ -504,25 +485,12 @@ def run_ensemble(
         worker = _run_chunk
         n_chunks = n_jobs * 4
     if n_jobs > 1 and len(seeds) > 1:
-        results = None
-        if lockstep:
-            # Zero-copy fast path: shard the lockstep matrix over
-            # shared-memory blocks so workers write result rows in
-            # place and nothing large crosses the pool's result pipe.
-            # Returns None (with a structured warning when shared
-            # memory itself is missing) if the platform or the
-            # ensemble cannot take it; results are bit-identical to
-            # the pickle path either way.
-            from repro.engine.parallel import maybe_run_sharded
-
-            results = maybe_run_sharded(common, seeds, n_jobs)
-        if results is None:
-            chunks = _chunk_seeds(seeds, n_chunks)
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                chunk_results = list(
-                    pool.map(worker, [(common, chunk) for chunk in chunks])
-                )
-            results = [r for chunk in chunk_results for r in chunk]
+        chunks = _chunk_seeds(seeds, n_chunks)
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            chunk_results = list(
+                pool.map(worker, [(common, chunk) for chunk in chunks])
+            )
+        results = [r for chunk in chunk_results for r in chunk]
         for seed, result in zip(seeds, results):
             _record(ensemble, seed, result, max_interactions,
                     require_convergence)

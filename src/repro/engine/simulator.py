@@ -82,17 +82,6 @@ class RunStats:
     ode_steps: int | None = None
     handoff_time: float | None = None
     handoff_backend: str | None = None
-    #: Parallel-execution fields, populated only when the run was served
-    #: through the shared-memory layer (:mod:`repro.engine.parallel`):
-    #: ``shards`` is the number of worker shards the ensemble ran
-    #: across, ``shm_bytes`` the size of the shared result buffers the
-    #: job allocated, and ``copy_bytes_saved`` the result bytes this run
-    #: moved across the process boundary as in-place shared-memory
-    #: writes instead of pickled copies.  All three stay ``None`` on
-    #: serial and pickle-transport runs.
-    shards: int | None = None
-    shm_bytes: int | None = None
-    copy_bytes_saved: int | None = None
 
     @classmethod
     def measure(
@@ -130,13 +119,6 @@ class RunStats:
                 f", {self.ode_steps} ODE steps (handoff at "
                 f"{self.handoff_time:,.0f} -> {self.handoff_backend})"
             )
-        if self.shards is not None:
-            text += f", {self.shards} shm shards"
-            if self.shm_bytes is not None:
-                text += f" ({self.shm_bytes:,} B shared"
-                if self.copy_bytes_saved is not None:
-                    text += f", {self.copy_bytes_saved:,} B copy saved"
-                text += ")"
         return text
 
 

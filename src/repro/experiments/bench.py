@@ -22,11 +22,10 @@ step.  The sections:
   ``counts``, as a single run and as an ensemble;
 * ``fluid`` - the mean-field tier, run counts-native, against ``leap``
   on the full ``10 N`` naming horizon, end to end;
-* ``parallel`` - a ``bleap`` ensemble and the symbolic checker's reach
-  fixpoint (:func:`repro.analysis.symbolic.reach`, engine ``reach``),
-  serial against ``sharded`` over :mod:`repro.engine.parallel`.  A
-  sharded cell runs its baseline's engine on one worker per core
-  (at least 2, at most 8);
+* ``parallel`` - a ``bleap`` ensemble, serial against ``sharded``: the
+  same ensemble through :func:`~repro.engine.ensemble.run_ensemble`
+  with one seed chunk per worker process, one worker per core (at least
+  2, at most 8), results returned pickled;
 * ``serve`` - a burst of :data:`SERVE_JOBS` small naming ensembles:
   ``cold`` calls ``run_ensemble`` once per job, ``warm`` submits the
   burst to a fresh warmed :class:`~repro.serve.pool.ServePool`, and
@@ -44,8 +43,7 @@ Starts, built outside the timer unless said otherwise:
   from it a replicate's whole budget is a single leap window;
 * ``zeros`` is the uniform start built as a plain agent vector *inside*
   the timer, so the ``fluid`` cells are end to end (the fluid engine
-  runs from the counts ``{0: N}`` and never builds one);
-* ``roots`` is the model checker's root set of ``N`` agents.
+  runs from the counts ``{0: N}`` and never builds one).
 
 The run is also a differential check.  ``fast`` must return results
 equal to ``reference``'s, ``warm`` and ``memo`` ensembles must equal
@@ -134,7 +132,7 @@ _TITLES = {
     "leap": "leap throughput (counts vs leap)",
     "bleap": "bleap throughput (chunked counts vs bleap ensembles)",
     "fluid": "fluid fast-forward (leap vs fluid, end to end)",
-    "parallel": "parallel execution (shared-memory sharding vs serial)",
+    "parallel": "parallel execution (worker processes vs serial)",
     "serve": "serving layer (cold per-call run_ensemble vs warm pool "
              "vs result memo)",
 }
@@ -293,8 +291,6 @@ FULL_CELLS: tuple[Cell, ...] = (
            100_000_000, 1, 1_000_000_000),
     *_pair("parallel", "naming", "sharded", "bleap", "uniform",
            100_000, 1_024, 200_000),
-    *_pair("parallel", "naming P=10", "sharded", "reach", "roots",
-           12, 1, 0),
     *_pair("serve", "naming", "warm", "cold", "uniform", 100, 6, 2_500, 3),
     Cell("serve", "naming", "memo", "cold", "uniform", 100, 6, 2_500, 3),
 )
@@ -318,8 +314,6 @@ SMOKE_CELLS: tuple[Cell, ...] = (
            100_000, 1, 100_000),
     *_pair("parallel", "naming", "sharded", "bleap", "uniform",
            100_000, 32, 4_000),
-    *_pair("parallel", "naming P=6", "sharded", "reach", "roots",
-           9, 1, 0),
 )
 
 #: The CI floors, checked by every full-size run.
@@ -340,11 +334,11 @@ GATES: tuple[Gate, ...] = (
 class BenchPoint:
     """One measured cell.
 
-    ``work`` counts interactions (pooled over replicates and jobs), or
-    quotient nodes for the ``reach`` engine; ``seconds`` is the fastest
-    repeat.  ``stats`` holds the non-null interaction count
-    (``non_null``), the optional :class:`~repro.engine.simulator.RunStats`
-    fields the run filled in (window, ODE and shared-memory counters),
+    ``work`` counts interactions (pooled over replicates and jobs);
+    ``seconds`` is the fastest repeat.  ``stats`` holds the non-null
+    interaction count (``non_null``), the optional
+    :class:`~repro.engine.simulator.RunStats` fields the run filled in
+    (window and ODE counters),
     the worker count of a sharded cell (``jobs``) and the memo hits of a
     served pass (``memo_hits``).
     """
@@ -503,16 +497,6 @@ def _run_fluid(cell: Cell, engine: str, seed: int, jobs: int):
     return (seconds, *_summary([result], result.stats), None)
 
 
-def _run_reach(cell: Cell, engine: str, seed: int, jobs: int):
-    """The symbolic checker's reach fixpoint from the ``N``-agent roots."""
-    from repro.analysis.symbolic import CountsSystem, reach
-
-    system = CountsSystem(_protocol(cell.workload))
-    roots = system.root_matrix(cell.n, "auto", None, None)
-    seconds, reached = _timed(reach, system, roots, n_jobs=jobs)
-    return seconds, reached.n_nodes, {}, None
-
-
 def _serve_pass(pool, specs) -> list:
     """Submit every job up front, then collect the ensembles in order."""
     handles = [pool.submit(spec) for spec in specs]
@@ -579,8 +563,6 @@ def _measure(cell: Cell, seed: int) -> tuple[BenchPoint, object]:
     jobs = max(2, min(os.cpu_count() or 1, 8)) if sharded else 1
     if cell.section == "serve":
         runner = _run_serve
-    elif engine == "reach":
-        runner = _run_reach
     elif engine == "fluid":
         runner = _run_fluid
     elif cell.r > 1:
@@ -769,7 +751,7 @@ def check_gates(
     A gate whose cell or baseline was not measured fails.  Below a
     gate's ``min_cores`` the value is reported and the gate skipped:
     there the sharded/serial ratio measures oversubscription, not the
-    transport.
+    worker processes.
     """
     cores = os.cpu_count() or 1
     passed = True

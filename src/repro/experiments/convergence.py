@@ -35,7 +35,7 @@ from repro.engine.problems import NamingProblem
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.simulator import RunStats
 from repro.errors import ConvergenceError
-from repro.experiments.report import render_table
+from repro.experiments.report import render_table, worker_count
 from repro.schedulers.random_pair import RandomPairScheduler
 
 
@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=worker_count,
         default=1,
         help="worker processes for per-seed runs",
     )

@@ -1,12 +1,24 @@
 """Plain-text table rendering for experiment reports.
 
 No third-party dependency; the experiments print aligned monospace tables
-comparing the paper's claims to measured outcomes.
+comparing the paper's claims to measured outcomes.  Also holds the
+argparse type the experiment CLIs share for ``--jobs``.
 """
 
 from __future__ import annotations
 
+import argparse
 from typing import Sequence
+
+
+def worker_count(text: str) -> int:
+    """Argparse type of ``--jobs``: a worker process count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
 
 
 def render_table(

@@ -53,7 +53,7 @@ from repro.engine.configuration import Configuration
 from repro.engine.fast import make_simulator
 from repro.engine.population import Population
 from repro.engine.problems import NamingProblem
-from repro.experiments.report import render_table
+from repro.experiments.report import render_table, worker_count
 from repro.schedulers.random_pair import RandomPairScheduler
 
 
@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=worker_count,
         default=1,
         help="worker processes for independent points",
     )

@@ -31,7 +31,7 @@ from repro.engine.fast import BACKENDS
 from repro.engine.protocol import PopulationProtocol
 from repro.errors import VerificationError
 from repro.experiments.convergence import measure
-from repro.experiments.report import render_table
+from repro.experiments.report import render_table, worker_count
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=worker_count,
         default=1,
         help="worker processes for per-seed runs",
     )

@@ -25,7 +25,7 @@ from repro.engine.population import Population
 from repro.engine.protocol import PopulationProtocol
 from repro.experiments.convergence import measure
 from repro.experiments.recovery import measure_recovery
-from repro.experiments.report import render_table
+from repro.experiments.report import render_table, worker_count
 from repro.faults.injection import corrupt_all_mobile_to
 
 
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=worker_count,
         default=1,
         help="worker processes for per-seed runs",
     )

@@ -35,13 +35,6 @@ Operational behavior:
   affected jobs raise a structured
   :class:`~repro.errors.WorkerCrashError` (never hang), the broken
   executor is discarded, and the next submission starts a fresh one.
-* **Zero-copy results**: lockstep jobs return their result rows
-  through shared-memory blocks (:mod:`repro.engine.parallel`) instead
-  of the executor's pickle pipe - workers write ``(r, S)`` row slices
-  in place and ``JobHandle.result()`` materializes them without
-  copying.  Each job's blocks live under a lease released after
-  assembly (or swept at shutdown); platforms without POSIX shared
-  memory warn once and serve over pickle, bit-identically.
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ import shutil
 import tempfile
 import threading
 import time
-import traceback
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import wait as _wait
 from dataclasses import dataclass
@@ -168,21 +160,13 @@ def _resolve_protocol(
     return protocol
 
 
-def _serve_chunk(task: tuple) -> "list[SimulationResult] | tuple":
+def _serve_chunk(task: tuple) -> list[SimulationResult]:
     """Worker entry point: run one seed chunk of a job.
 
     The task carries the protocol by hash (or by value when it has
     none) plus the scalar run parameters; execution reuses the exact
     ensemble chunk runners, so results match ``run_ensemble``
     bit-for-bit.
-
-    When the submitting pool allocated shared result blocks for the job
-    (``counts_meta`` is not ``None``), the chunk first tries the
-    zero-copy path: run natively, write the raw rows into the shared
-    blocks at ``row_lo``, and return only a small marker tuple (see
-    :func:`repro.engine.parallel.run_chunk_into_shm`).  If the chunk's
-    lockstep preconditions fail it falls through to the pickled runner,
-    so markers and pickled lists mix freely across a job's chunks.
     """
     (
         fingerprint,
@@ -196,32 +180,8 @@ def _serve_chunk(task: tuple) -> "list[SimulationResult] | tuple":
         check_interval,
         sanitize,
         seeds,
-        row_lo,
-        counts_meta,
-        scalars_meta,
     ) = task
     protocol = _resolve_protocol(fingerprint, payload)
-    if counts_meta is not None:
-        from repro.engine.parallel import run_chunk_into_shm
-
-        marker = run_chunk_into_shm(
-            protocol,
-            population,
-            scheduler_factory,
-            initial_factory,
-            problem,
-            max_interactions,
-            backend,
-            check_interval,
-            sanitize,
-            None,  # fault_hook: not part of the serving surface
-            seeds,
-            row_lo,
-            counts_meta,
-            scalars_meta,
-        )
-        if marker is not None:
-            return marker
     common = (
         protocol,
         population,
@@ -287,7 +247,6 @@ class JobHandle:
         futures: list[Future],
         chunks: list[list[int]],
         memo_results: list[SimulationResult] | None = None,
-        shm: tuple | None = None,
     ) -> None:
         self._pool = pool
         self.spec = spec
@@ -296,13 +255,6 @@ class JobHandle:
         self._futures = futures
         self._chunks = chunks
         self._results = memo_results
-        #: Shared-memory result transport context, when the pool
-        #: allocated one for this job:
-        #: ``(lease, counts_block, scalars_block, offsets, table,
-        #: n_mobile)``.  The lease is released exactly once - after
-        #: assembly in :meth:`result`, on the crash path, or by the
-        #: pool's shutdown sweep, whichever comes first.
-        self._shm = shm
         #: Whether this handle was served from the result memo.
         self.from_memo = memo_results is not None
         self._open_chunks = len(futures)
@@ -371,9 +323,9 @@ class JobHandle:
         :class:`~repro.errors.WorkerCrashError` when a worker process
         died under the job, and re-raises any structured simulation
         error a chunk raised (``SanitizerError``, ...).  On success the
-        per-seed results are memoized (when the job has a key) and the
-        assembled :class:`EnsembleResult` is bit-identical to a serial
-        ``run_ensemble`` of the same spec.
+        per-seed results are memoized (when the job has a key and the
+        pool is still open) and the assembled :class:`EnsembleResult` is
+        bit-identical to a serial ``run_ensemble`` of the same spec.
         """
         if self._results is None:
             done, not_done = _wait(self._futures, timeout=timeout)
@@ -388,8 +340,6 @@ class JobHandle:
                 try:
                     chunk_results.append(future.result())
                 except BrokenExecutor as exc:
-                    if self._shm is not None:
-                        self._pool._release_lease(self._shm[0])
                     self._pool._handle_crash()
                     raise WorkerCrashError(
                         f"a worker process died while serving job "
@@ -399,78 +349,16 @@ class JobHandle:
                         seeds=self.spec.seeds,
                         reason=repr(exc),
                     ) from exc
-            if self._shm is not None:
-                self._results = self._materialize_shm(chunk_results)
-            else:
-                self._results = [
-                    r for chunk in chunk_results for r in chunk
-                ]
-            if self.key is not None and self._pool.memo is not None:
+            self._results = [r for chunk in chunk_results for r in chunk]
+            # A closed pool may have deleted its owned cache root; a
+            # memo store would re-create it with nothing to remove it.
+            if (
+                self.key is not None
+                and self._pool.memo is not None
+                and not self._pool._closed
+            ):
                 self._pool.memo.store(self.key, self._results)
         return assemble(self.spec, self._results)
-
-    def _materialize_shm(self, chunk_results: list) -> list[SimulationResult]:
-        """Assemble per-chunk outcomes from the job's shared blocks.
-
-        Chunks that took the zero-copy path returned only markers; their
-        rows are read straight out of the shared blocks and materialized
-        through the same :func:`~repro.engine.batch.materialize_raw` the
-        serial path uses - ``JobHandle.result()`` never copies the large
-        arrays.  Pickled chunks (precondition fallbacks) splice in
-        as-is.  The job's lease is released afterwards, win or lose.
-        """
-        from repro.engine.batch import N_SCALARS, LockstepRaw, materialize_raw
-
-        lease, counts, scalars, offsets, table, n_mobile = self._shm
-        if lease.released:
-            raise ServeError(
-                f"job {self.job_id}'s shared result blocks were already "
-                "released (pool shut down before result() was called); "
-                "resubmit the job"
-            )
-        try:
-            results: list[SimulationResult] = []
-            shards = len(self._chunks)
-            shm_bytes = lease.nbytes
-            per_row_saved = (counts.meta.shape[1] + N_SCALARS) * 8
-            for outcome, off in zip(chunk_results, offsets):
-                if (
-                    isinstance(outcome, tuple)
-                    and outcome
-                    and outcome[0] == "shm"
-                ):
-                    _, n_rows, wall_seconds, has_leap = outcome
-                    raw = LockstepRaw(
-                        counts=counts.array[off : off + n_rows],
-                        scalars=scalars.array[off : off + n_rows],
-                        has_leap=has_leap,
-                        wall_seconds=wall_seconds,
-                    )
-                    results.extend(
-                        materialize_raw(
-                            table,
-                            n_mobile,
-                            self.spec.population,
-                            self.spec.protocol.display_name,
-                            raw,
-                            self.spec.max_interactions,
-                            False,  # raise_on_timeout: assembly enforces
-                            shards=shards,
-                            shm_bytes=shm_bytes,
-                            copy_bytes_saved=per_row_saved,
-                        )
-                    )
-                    raw = None  # drop the views before the lease release
-                else:
-                    results.extend(outcome)
-            return results
-        except BaseException as exc:
-            # The traceback pins views into the blocks; the release
-            # below unmaps them, so drop those frame references first.
-            traceback.clear_frames(exc.__traceback__)
-            raise
-        finally:
-            self._pool._release_lease(lease)
 
 
 # ----------------------------------------------------------------------
@@ -530,11 +418,6 @@ class ServePool:
         self._unfinished = 0
         self._next_job_id = 0
         self._closed = False
-        #: Shared-memory leases of in-flight jobs; each is released by
-        #: its :class:`JobHandle` after assembly, or swept by
-        #: :meth:`shutdown` if the handle never read its results.
-        self._leases: set = set()
-        self._warned_no_shm = False
         #: Counters: submissions, memo hits, worker crashes survived.
         self.jobs_submitted = 0
         self.memo_hits = 0
@@ -578,10 +461,8 @@ class ServePool:
         Idempotent and safe to call from ``__del__`` or an ``atexit``
         hook: repeated calls (including concurrent ones) are no-ops
         beyond the first, and nothing here assumes the interpreter is
-        fully alive.  Outstanding shared-memory leases of jobs whose
-        results were never read are swept (``result()`` on such a job
-        raises a structured :class:`~repro.errors.ServeError` - read
-        results before shutting the pool down).  A pool-owned temporary
+        fully alive.  Jobs that finished before shutdown can still be
+        read; their results are not memoized.  A pool-owned temporary
         cache directory is deleted; a caller-provided ``cache_dir`` is
         left in place (it may be shared with other pools).
         """
@@ -589,11 +470,8 @@ class ServePool:
             already_closed = self._closed
             self._closed = True
             executor, self._executor = self._executor, None
-            leases, self._leases = list(self._leases), set()
         if executor is not None:
             executor.shutdown(wait=wait)
-        for lease in leases:
-            lease.release()
         if already_closed:
             return
         if self._owns_cache_dir:
@@ -636,71 +514,6 @@ class ServePool:
             self.worker_crashes += 1
         if executor is not None:
             executor.shutdown(wait=False)
-
-    def _release_lease(self, lease) -> None:
-        """Release a job's shared blocks and forget the lease.  Idempotent."""
-        lease.release()
-        with self._lock:
-            self._leases.discard(lease)
-
-    def _try_shm_transport(
-        self, spec: JobSpec, chunks: list[list[int]]
-    ) -> tuple:
-        """Allocate shared result blocks for a lockstep job, if possible.
-
-        Returns ``(shm_ctx, per_chunk)`` where ``shm_ctx`` is the
-        :class:`JobHandle` context tuple (or ``None``) and ``per_chunk``
-        is one ``(row_lo, counts_meta, scalars_meta)`` triple per chunk
-        (all ``None`` metas when the job ships pickled).  Obvious
-        whole-job precondition misses stay silent - the worker-side
-        runner produces the ladder warning; a missing shared-memory
-        platform warns once per pool.
-        """
-        pickled = None, [(0, None, None)] * len(chunks)
-        from repro.engine.parallel import (
-            SharedBlock,
-            ShmLease,
-            shm_available,
-        )
-
-        available, reason = shm_available()
-        if not available:
-            with self._lock:
-                warn_once, self._warned_no_shm = (
-                    not self._warned_no_shm,
-                    True,
-                )
-            if warn_once:
-                from repro.engine.fast import warn_fallback
-
-                warn_fallback("serve-shm", "pickle-transport serving", reason)
-            return pickled
-        from repro.engine.batch import N_SCALARS
-        from repro.engine.counts import _np, _plan_for
-        from repro.engine.fast import compile_table
-
-        table = compile_table(spec.protocol)
-        if table is None or _np is None:
-            return pickled
-        plan = _plan_for(spec.protocol, table)
-        if plan is None or not plan.closed:
-            return pickled
-        n_rows = sum(len(chunk) for chunk in chunks)
-        counts = SharedBlock.create((n_rows, table.n_states), "int64")
-        scalars = SharedBlock.create((n_rows, N_SCALARS), "int64")
-        lease = ShmLease((counts, scalars))
-        with self._lock:
-            self._leases.add(lease)
-        offsets = []
-        row_lo = 0
-        for chunk in chunks:
-            offsets.append(row_lo)
-            row_lo += len(chunk)
-        per_chunk = [
-            (off, counts.meta, scalars.meta) for off in offsets
-        ]
-        shm_ctx = (lease, counts, scalars, offsets, table, plan.n_mobile)
-        return shm_ctx, per_chunk
 
     def _publish(self, fingerprint: str, protocol: PopulationProtocol):
         """Publish the protocol + compiled artifacts, once per hash."""
@@ -809,10 +622,6 @@ class ServePool:
         else:
             n_chunks = self.max_workers * 4
         chunks = _chunk_seeds(list(spec.seeds), max(1, n_chunks))
-        shm_ctx = None
-        per_chunk = [(0, None, None)] * len(chunks)
-        if backend in _LOCKSTEP_BACKENDS:
-            shm_ctx, per_chunk = self._try_shm_transport(spec, chunks)
         try:
             futures = [
                 executor.submit(
@@ -829,21 +638,14 @@ class ServePool:
                         spec.check_interval,
                         spec.sanitize,
                         tuple(chunk),
-                        row_lo,
-                        counts_meta,
-                        scalars_meta,
                     ),
                 )
-                for chunk, (row_lo, counts_meta, scalars_meta) in zip(
-                    chunks, per_chunk
-                )
+                for chunk in chunks
             ]
         except BrokenExecutor as exc:
             # The executor died between jobs; release the slot, discard
             # it, and surface a structured error so the caller can
             # resubmit against the fresh pool the next submit builds.
-            if shm_ctx is not None:
-                self._release_lease(shm_ctx[0])
             self._job_finished()
             self._handle_crash()
             raise WorkerCrashError(
@@ -853,7 +655,7 @@ class ServePool:
                 seeds=spec.seeds,
                 reason=repr(exc),
             ) from exc
-        return JobHandle(self, spec, key, job_id, futures, chunks, shm=shm_ctx)
+        return JobHandle(self, spec, key, job_id, futures, chunks)
 
     # -- auxiliary services -------------------------------------------
 

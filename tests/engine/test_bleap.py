@@ -334,13 +334,12 @@ def _burst_raw(name):
         sanitize=sanitize,
     )
     initial = Configuration.uniform(population, start, leader)
-    raw, reason = simulator.run_replicates_raw(
+    rows, leaders, reason = simulator._batch._batch_preconditions(
         [initial] * len(seeds),
-        [RandomPairScheduler(population, seed=s) for s in seeds],
-        max_interactions=budget,
+        schedulers=[RandomPairScheduler(population, seed=s) for s in seeds],
     )
     assert reason is None, reason
-    return raw, simulator
+    return simulator._windows_raw(rows, leaders, list(seeds), budget), simulator
 
 
 class TestExactBurst:

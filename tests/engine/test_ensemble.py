@@ -275,6 +275,26 @@ class TestBatchBackend:
                 require_convergence=True,
             )
 
+    def test_raise_on_timeout_parity(self):
+        """Same exception, same wording at n_jobs 1 and 3."""
+        errors = {}
+        for n_jobs in (1, 3):
+            with pytest.raises(ConvergenceError, match="did not converge") as exc:
+                run_ensemble(
+                    AsymmetricNamingProtocol(5),
+                    Population(6),
+                    _scheduler_factory,
+                    _initial_factory,
+                    NamingProblem(),
+                    seeds=range(7),
+                    max_interactions=1,
+                    backend="batch",
+                    n_jobs=n_jobs,
+                    raise_on_timeout=True,
+                )
+            errors[n_jobs] = str(exc.value)
+        assert errors[1] == errors[3]
+
     def test_stats_aggregated(self):
         protocol, population, sf, inf = make_parts(bound=8, n=8)
         ensemble = run_ensemble(
@@ -460,3 +480,84 @@ class TestLazyInitials:
         )
         assert parallel.results == serial.results
         assert parallel.seeds == serial.seeds
+
+
+#: A child interpreter's parallel runs, ``sys.argv[1]`` rounds of them:
+#: ``n_jobs=2`` ensembles on both lockstep engines, then a burst of
+#: lockstep jobs through a warm two-worker ``ServePool``.  No run can
+#: converge within its budget, so every chunk does the same work and the
+#: two workers finish together.
+_CLEAN_EXIT_CHILD = '''
+import sys
+
+from repro.core.asymmetric import AsymmetricNamingProtocol
+from repro.engine.configuration import Configuration
+from repro.engine.ensemble import run_ensemble
+from repro.engine.population import Population
+from repro.engine.problems import NamingProblem
+from repro.schedulers.random_pair import RandomPairScheduler
+from repro.serve import JobSpec, ServePool
+
+
+def scheduler(population, seed):
+    return RandomPairScheduler(population, seed=seed)
+
+
+def uniform(population, seed):
+    return Configuration.uniform(population, 0)
+
+
+def main(rounds):
+    protocol = AsymmetricNamingProtocol(32)
+    population = Population(30)
+    for r in range(rounds):
+        for backend in ("batch", "bleap"):
+            run_ensemble(
+                protocol, population, scheduler, uniform, NamingProblem(),
+                seeds=range(8), max_interactions=500, backend=backend,
+                n_jobs=2,
+            )
+        with ServePool(max_workers=2) as pool:
+            pool.warm()
+            for j in range(20):
+                base = 10_000 * r + 100 * j
+                spec = JobSpec(
+                    protocol, population, scheduler, uniform,
+                    NamingProblem(), seeds=tuple(range(base, base + 32)),
+                    max_interactions=500, backend="batch",
+                )
+                pool.submit(spec).result(timeout=120)
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]))
+'''
+
+
+class TestCleanExit:
+    def test_parallel_runs_exit_without_stderr(self, tmp_path):
+        """Parallel runs write nothing to stderr, during the run or at
+        exit, and the child exits 0."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = tmp_path / "child.py"
+        script.write_text(_CLEAN_EXIT_CHILD)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, str(script), "3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stderr == ""

@@ -843,8 +843,19 @@ def _init_factory(population, seed):
 
 
 class TestParallelEnsembles:
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_n_jobs_results_seed_identical_to_serial(self, backend):
+    @pytest.mark.parametrize(
+        "backend, sanitize",
+        [
+            pytest.param(
+                backend,
+                sanitize,
+                id=f"{backend}-sanitized" if sanitize else backend,
+            )
+            for sanitize in (False, True)
+            for backend in sorted(BACKENDS)
+        ],
+    )
+    def test_n_jobs_results_seed_identical_to_serial(self, backend, sanitize):
         protocol = AsymmetricNamingProtocol(5)
         population = Population(5)
         runs = {}
@@ -859,6 +870,7 @@ class TestParallelEnsembles:
                 max_interactions=50_000,
                 backend=backend,
                 n_jobs=n_jobs,
+                sanitize=sanitize,
             )
         assert runs[1].seeds == runs[2].seeds
         assert runs[1].results == runs[2].results

@@ -72,8 +72,8 @@ class TestCellTable:
     def test_smoke_table_is_the_ci_smoke_command(self):
         # 12 backend cells (two workloads, N in {6, 25}, three engines)
         # plus two cells each for two ensemble widths, leap, bleap,
-        # fluid and the two parallel pairs.
-        assert len(SMOKE_CELLS) == 26
+        # fluid and parallel.
+        assert len(SMOKE_CELLS) == 24
         assert {c.section for c in SMOKE_CELLS} == set(SECTIONS) - {"serve"}
 
     def test_full_table_adds_the_gated_naming_pair(self):
@@ -87,7 +87,7 @@ class TestCellTable:
         }
         assert naming == {10, 100, 1_000, 100_000}
         assert churn == {10, 100, 1_000}
-        assert len(FULL_CELLS) == 41
+        assert len(FULL_CELLS) == 39
 
     def test_baselines_run_before_the_cells_compared_with_them(self):
         for table in (FULL_CELLS, SMOKE_CELLS):
@@ -105,10 +105,7 @@ class TestCellTable:
         # The exact engines keep it, so their null/non-null mix stays
         # stationary.
         for cell in (*FULL_CELLS, *SMOKE_CELLS):
-            windowed = cell.section in ("leap", "bleap") or (
-                cell.section == "parallel" and cell.workload == "naming"
-            )
-            if windowed:
+            if cell.section in ("leap", "bleap", "parallel"):
                 assert cell.start == "uniform", cell
             elif cell.section in ("backends", "ensemble"):
                 assert cell.start == "spread", cell
@@ -425,62 +422,42 @@ class TestSectionsSelector:
 
 
 class TestParallelBench:
-    PARALLEL = (
-        *_pair("parallel", "naming", "sharded", "bleap", "uniform", 2_000,
-               48, 200),
-        *_pair("parallel", "naming P=6", "sharded", "reach", "roots", 9, 1,
-               0),
-    )
+    PARALLEL = _pair("parallel", "naming", "sharded", "bleap", "uniform",
+                     2_000, 48, 200)
 
-    def test_smoke_run_produces_all_four_cells(self):
-        points = run_bench(self.PARALLEL, seed=1)
-        assert [(p.workload, p.engine) for p in points] == [
-            ("naming", "bleap"), ("naming", "sharded"),
-            ("naming P=6", "reach"), ("naming P=6", "sharded"),
-        ]
-        assert all(p.work > 0 and p.seconds >= 0 for p in points)
-        # Serial and sharded cells are seed-identical runs of the same
-        # workload, so they must report identical work.
-        assert points[0].work == points[1].work
-        assert points[2].work == points[3].work
-        assert all(ratio(points, p) > 0 for p in points[1::2])
-
-    def test_sharded_lockstep_cell_reports_shm_transport(self, monkeypatch):
-        from repro.engine.parallel import shm_available
-
+    def test_smoke_run_produces_both_cells(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        serial, sharded = run_bench(self.PARALLEL[:2], seed=1)
-        assert sharded.stats["jobs"] == 2
-        if shm_available()[0]:
-            assert sharded.stats["shards"] == 2
-            assert sharded.stats["shm_bytes"] > 0
-            assert sharded.stats["copy_bytes_saved"] > 0
-        assert "shards" not in serial.stats
-        assert "jobs" not in serial.stats
+        serial, sharded = run_bench(self.PARALLEL, seed=1)
+        assert (serial.engine, sharded.engine) == ("bleap", "sharded")
+        assert serial.work > 0 and serial.seconds >= 0
+        assert sharded.seconds >= 0
+        # Serial and sharded cells are seed-identical runs of the same
+        # ensemble, so they must report identical work and counters.
+        assert sharded.work == serial.work
+        assert sharded.stats == {**serial.stats, "jobs": 2}
+        assert ratio([serial, sharded], sharded) > 0
 
     def test_render_marks_speedup_and_transport(self):
         points = [
             point("parallel", "bleap", n=100, r=8, work=800, seconds=0.2),
             point("parallel", "sharded", "bleap", n=100, r=8, work=800,
-                  seconds=0.1, shards=4, shm_bytes=4096,
-                  copy_bytes_saved=2048, jobs=4),
+                  seconds=0.1, jobs=4),
         ]
         table = render(points)
-        assert "shared-memory sharding" in table
+        assert "parallel execution (worker processes vs serial)" in table
         assert "2.00x vs bleap" in table
-        assert "shards=4" in table
-        assert "copy_bytes_saved=2,048" in table
+        assert "jobs=4" in table
 
     def test_json_payload_includes_parallel_section(self, tmp_path):
         points = run_bench(self.PARALLEL, seed=1)
         out = tmp_path / "bench.json"
         write_json(points, str(out))
         section = json.loads(out.read_text())["points"]
-        assert len(section) == 4
+        assert len(section) == 2
         for cell in section:
             assert cell["seconds"] >= 0
             assert cell["work"] > 0
-        assert section[1]["speedup"] > 0 and section[3]["speedup"] > 0
+        assert section[1]["speedup"] > 0
 
     def test_json_payload_records_section_wall_clock(self, tmp_path):
         # Every section that ran reports its wall-clock cost and the

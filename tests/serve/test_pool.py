@@ -153,72 +153,6 @@ class TestCrashRecovery:
             assert served.results == fresh_ensemble(spec).results
 
 
-class TestZeroCopyTransport:
-    def test_lockstep_job_takes_the_shm_path(self, pool):
-        from repro.engine.parallel import shm_available
-
-        if not shm_available()[0]:
-            pytest.skip("POSIX shared memory unavailable")
-        spec = make_spec(seeds=(90, 91, 92))
-        handle = pool.submit(spec)
-        assert handle._shm is not None
-        lease = handle._shm[0]
-        served = handle.result(timeout=120)
-        # Results carry the transport provenance and are still
-        # bit-identical to a fresh serial run (stats never compare).
-        stats = served.results[0].stats
-        assert stats.shards >= 1
-        assert stats.shm_bytes > 0
-        assert served.results == fresh_ensemble(spec).results
-        # The blocks are torn down as soon as the job is assembled.
-        assert lease.released
-        assert lease not in pool._leases
-
-    def test_non_lockstep_backend_skips_shm(self, pool):
-        handle = pool.submit(make_spec(backend="fast", seeds=(93, 94)))
-        assert handle._shm is None
-        handle.result(timeout=120)
-
-    def test_unread_job_after_shutdown_raises(self):
-        from repro.engine.parallel import shm_available
-
-        if not shm_available()[0]:
-            pytest.skip("POSIX shared memory unavailable")
-        pool = ServePool(max_workers=1)
-        pool.warm()
-        handle = pool.submit(make_spec(seeds=(95, 96)))
-        while not handle.progress().done:
-            time.sleep(0.01)
-        pool.shutdown()
-        with pytest.raises(ServeError, match="released"):
-            handle.result(timeout=120)
-
-    def test_shm_unavailable_warns_once_and_serves_pickled(
-        self, monkeypatch
-    ):
-        from repro.engine import parallel
-        from repro.errors import BackendFallbackWarning
-
-        monkeypatch.setattr(
-            parallel, "_SHM_PROBE", (False, "forced by test")
-        )
-        with ServePool(max_workers=1) as pool:
-            pool.warm()
-            spec = make_spec(seeds=(97, 98))
-            with pytest.warns(BackendFallbackWarning, match="forced by test"):
-                handle = pool.submit(spec)
-            assert handle._shm is None
-            served = handle.result(timeout=120)
-            assert served.results == fresh_ensemble(spec).results
-            # The warning fires once per pool, not once per job.
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                second = pool.submit(make_spec(seeds=(99,)))
-            second.result(timeout=120)
-
-
 class TestLifecycle:
     def test_shutdown_rejects_new_jobs(self):
         pool = ServePool(max_workers=1)
@@ -233,6 +167,20 @@ class TestLifecycle:
         pool.shutdown()
         pool.shutdown()  # second call is a no-op, not an error
         pool.shutdown(wait=False)
+
+    @pytest.mark.parametrize("backend", ["fast", "batch"])
+    def test_job_finished_before_shutdown_stays_readable(self, backend):
+        pool = ServePool(max_workers=1)
+        spec = make_spec(backend=backend, seeds=(95, 96))
+        handle = pool.submit(spec)
+        while not handle.done():
+            time.sleep(0.01)
+        pool.shutdown()
+        assert not pool.cache.root.exists()
+        served = handle.result(timeout=120)
+        assert served.results == fresh_ensemble(spec).results
+        # Reading the job must not re-create the deleted cache root.
+        assert not pool.cache.root.exists()
 
     def test_shutdown_after_context_exit_is_a_noop(self):
         with ServePool(max_workers=1) as pool:

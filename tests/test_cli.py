@@ -272,3 +272,14 @@ class TestParser:
     def test_unknown_choice_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--fairness", "chaotic"])
+
+    @pytest.mark.parametrize(
+        "command", ["convergence", "scaling", "time-study", "tradeoffs"]
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_is_a_usage_error(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", jobs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs: must be a positive integer" in err
