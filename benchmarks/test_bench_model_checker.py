@@ -14,6 +14,7 @@ from repro.analysis.reachability import (
     arbitrary_initial_configurations,
     explore,
 )
+from repro.analysis.symbolic import check_sinks
 from repro.analysis.weak_fairness import check_naming_weak
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.core.global_naming import GlobalNamingProtocol
@@ -107,20 +108,14 @@ def test_bench_weak_check_finds_livelock(benchmark):
 
 
 def test_bench_quotient_prop13_n6_p6(benchmark):
-    """The quotient checker at a size the labelled checker cannot touch:
-    Proposition 13 at N = P = 6 (5^6 = 15625 labelled mobile vectors
-    collapse into a few hundred multisets)."""
-    from repro.analysis.quotient import (
-        arbitrary_quotient_initials,
-        check_naming_global_quotient,
-    )
-
+    """The sink check on the counts quotient at a size the labelled
+    checker cannot touch: Proposition 13 at N = P = 6 (7^6 labelled
+    mobile vectors collapse into 924 count rows)."""
     protocol = SymmetricGlobalNamingProtocol(6)
-    initial = arbitrary_quotient_initials(protocol, 6)
 
     def check():
-        verdict = check_naming_global_quotient(protocol, initial)
-        assert verdict.solves
+        verdict = check_sinks(protocol, 6, mobile_mode="arbitrary")
+        assert verdict.holds
         return verdict
 
     benchmark(check)
@@ -130,19 +125,14 @@ def test_bench_quotient_protocol3_n5_p5(benchmark):
     """Protocol 3 at N = P = 5: unreachable by simulation (the ordered
     sweep explodes super-exponentially) - decided exactly in milliseconds
     on the quotient."""
-    from repro.analysis.quotient import (
-        arbitrary_quotient_initials,
-        check_naming_global_quotient,
-    )
-
     protocol = GlobalNamingProtocol(5)
-    initial = arbitrary_quotient_initials(
-        protocol, 5, [protocol.initial_leader_state()]
-    )
+    leaders = [protocol.initial_leader_state()]
 
     def check():
-        verdict = check_naming_global_quotient(protocol, initial)
-        assert verdict.solves
+        verdict = check_sinks(
+            protocol, 5, mobile_mode="arbitrary", leader_states=leaders
+        )
+        assert verdict.holds
         return verdict
 
     benchmark(check)
@@ -151,20 +141,18 @@ def test_bench_quotient_protocol3_n5_p5(benchmark):
 def test_bench_quotient_transformer_projection(benchmark):
     """Exact verification of the footnote-5 transformer through the
     name projection (N = 4, 2P = 8 tagged states)."""
-    from repro.analysis.quotient import (
-        arbitrary_quotient_initials,
-        check_naming_global_quotient,
-    )
     from repro.core.transformer import SymmetrizedProtocol
 
     protocol = SymmetrizedProtocol(AsymmetricNamingProtocol(4))
-    initial = arbitrary_quotient_initials(protocol, 4)
 
     def check():
-        verdict = check_naming_global_quotient(
-            protocol, initial, name_of=SymmetrizedProtocol.project
+        verdict = check_sinks(
+            protocol,
+            4,
+            mobile_mode="arbitrary",
+            name_of=SymmetrizedProtocol.project,
         )
-        assert verdict.solves
+        assert verdict.holds
         return verdict
 
     benchmark(check)

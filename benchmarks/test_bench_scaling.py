@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.quotient import (
-    arbitrary_quotient_initials,
-    check_naming_global_quotient,
-)
+from repro.analysis.symbolic import check_sinks
 from repro.core.global_naming import GlobalNamingProtocol
 from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.experiments.scaling import render_points, run_scaling
@@ -39,11 +36,10 @@ def test_bench_scaling_artifact(benchmark, printed_scaling):
 def test_bench_quotient_prop13_growth(benchmark, n):
     """Quotient-check cost as N = P grows for Proposition 13."""
     protocol = SymmetricGlobalNamingProtocol(n)
-    initial = arbitrary_quotient_initials(protocol, n)
 
     def check():
-        verdict = check_naming_global_quotient(protocol, initial)
-        assert verdict.solves
+        verdict = check_sinks(protocol, n, mobile_mode="arbitrary")
+        assert verdict.holds
         return verdict
 
     benchmark.pedantic(check, rounds=3, iterations=1)
@@ -51,13 +47,13 @@ def test_bench_quotient_prop13_growth(benchmark, n):
 
 def test_bench_quotient_protocol3_n5(benchmark):
     protocol = GlobalNamingProtocol(5)
-    initial = arbitrary_quotient_initials(
-        protocol, 5, [protocol.initial_leader_state()]
-    )
+    leaders = [protocol.initial_leader_state()]
 
     def check():
-        verdict = check_naming_global_quotient(protocol, initial)
-        assert verdict.solves
+        verdict = check_sinks(
+            protocol, 5, mobile_mode="arbitrary", leader_states=leaders
+        )
+        assert verdict.holds
         return verdict
 
     benchmark.pedantic(check, rounds=3, iterations=1)

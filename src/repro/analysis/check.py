@@ -43,27 +43,11 @@ from repro.analysis.symbolic import (
     SymbolicVerdict,
     check_property,
 )
-from repro.core.registry import protocol_for
-from repro.core.spec import (
-    Fairness,
-    LeaderKind,
-    MobileInit,
-    ModelSpec,
-    Symmetry,
-    table1_cell,
-)
+from repro.cli import _add_model_flags, _model
+from repro.core.spec import Fairness, LeaderKind, MobileInit, table1_cell
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.state import State
-from repro.errors import InfeasibleSpecError, VerificationError
-
-_FAIRNESS = {f.value: f for f in Fairness}
-_SYMMETRY = {s.value: s for s in Symmetry}
-_LEADER = {
-    "none": LeaderKind.NONE,
-    "non-initialized": LeaderKind.NON_INITIALIZED,
-    "initialized": LeaderKind.INITIALIZED,
-}
-_INIT = {i.value: i for i in MobileInit}
+from repro.errors import VerificationError
 
 #: Bump when the verdict schema or the checking semantics change, so
 #: stale cached verdicts from older versions are never reused.
@@ -137,14 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
             "counterexamples."
         ),
     )
-    parser.add_argument(
-        "--fairness", choices=sorted(_FAIRNESS), default="global"
-    )
-    parser.add_argument(
-        "--symmetry", choices=sorted(_SYMMETRY), default="symmetric"
-    )
-    parser.add_argument("--leader", choices=sorted(_LEADER), default="none")
-    parser.add_argument("--init", choices=sorted(_INIT), default="arbitrary")
+    _add_model_flags(parser)
     parser.add_argument(
         "--bound",
         "-P",
@@ -243,17 +220,10 @@ def _witness_lines(verdict: SymbolicVerdict) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro check``; returns the exit code."""
     args = build_parser().parse_args(argv)
-    spec = ModelSpec(
-        _FAIRNESS[args.fairness],
-        _SYMMETRY[args.symmetry],
-        _LEADER[args.leader],
-        _INIT[args.init],
-    )
-    try:
-        protocol = protocol_for(spec, args.bound)
-    except InfeasibleSpecError as exc:
-        print(f"infeasible model: {exc}")
+    model = _model(args)
+    if model is None:
         return 2
+    spec, protocol = model
     cell = table1_cell(spec)
 
     # Root conventions mirror the explicit checkers: an initialized

@@ -221,7 +221,9 @@ def _find_failing_component(
     all_pairs: set,
 ) -> tuple[set[Configuration], bool] | None:
     """The first SCC witnessing failure, plus its livelock flag."""
-    for component in strongly_connected_components(graph):
+    for component in strongly_connected_components(
+        graph.nodes, graph.successors
+    ):
         members = set(component)
         covered = set()
         changes = False

@@ -24,10 +24,13 @@ from typing import Callable, Iterable
 
 import numpy
 
-from repro.analysis.quotient import QuotientNode
+from repro.analysis.model_checker import strongly_connected_components
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.state import State
 from repro.errors import VerificationError
+
+#: A node of the lumped chain: (sorted tuple of mobile states, leader
+#: state or None).
+QuotientNode = tuple
 
 
 @dataclass(frozen=True)
@@ -296,13 +299,10 @@ def absorption_probability(
     }
 
     # Doomed nodes: sink SCCs of non-absorbing nodes never absorb.
-    from repro.analysis.quotient import _tarjan
-
     def successors(node: QuotientNode):
-        i = index[node]
-        return list(rows[i].keys())
+        return rows[index[node]].keys()
 
-    components = _tarjan(nodes, successors)
+    components = strongly_connected_components(nodes, successors)
     doomed: set[QuotientNode] = set()
     for component in components:
         members = set(component)

@@ -18,7 +18,7 @@ produces counterexample certificates, machine-verifying Propositions 13 and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from repro.analysis.reachability import ConfigurationGraph, explore
 from repro.engine.configuration import Configuration
@@ -46,35 +46,43 @@ class GlobalFairnessVerdict:
 
 
 def strongly_connected_components(
-    graph: ConfigurationGraph,
-) -> list[list[Configuration]]:
-    """Tarjan's algorithm, iterative (graphs can be deep)."""
-    index: dict[Configuration, int] = {}
-    lowlink: dict[Configuration, int] = {}
-    on_stack: set[Configuration] = set()
-    stack: list[Configuration] = []
-    components: list[list[Configuration]] = []
+    nodes: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[Hashable]],
+) -> list[list[Hashable]]:
+    """Tarjan's algorithm, iterative (graphs can be deep).
+
+    The one SCC routine of the analysis package: labelled configuration
+    graphs, symbolic count rows and their fibers, and the lumped Markov
+    chain all call it.  Components come out in reverse topological
+    order - each before any component that reaches it - and the
+    checkers report the first failing one they meet, so this order
+    decides every witness.
+    """
+    index: dict = {}
+    lowlink: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    components: list[list] = []
     counter = 0
 
-    for root in graph.nodes:
+    for root in nodes:
         if root in index:
             continue
-        work: list[tuple[Configuration, Iterable[Configuration]]] = []
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work.append((root, iter(list(graph.successors(root)))))
+        work = [(root, iter(list(successors(root))))]
         while work:
-            node, successors = work[-1]
+            node, it = work[-1]
             advanced = False
-            for succ in successors:
+            for succ in it:
                 if succ not in index:
                     index[succ] = lowlink[succ] = counter
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(list(graph.successors(succ)))))
+                    work.append((succ, iter(list(successors(succ)))))
                     advanced = True
                     break
                 if succ in on_stack:
@@ -86,7 +94,7 @@ def strongly_connected_components(
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
             if lowlink[node] == index[node]:
-                component: list[Configuration] = []
+                component = []
                 while True:
                     member = stack.pop()
                     on_stack.discard(member)
@@ -101,7 +109,7 @@ def sink_components(
     graph: ConfigurationGraph,
 ) -> list[list[Configuration]]:
     """SCCs with no edge leaving them (every fair run's destiny)."""
-    components = strongly_connected_components(graph)
+    components = strongly_connected_components(graph.nodes, graph.successors)
     membership: dict[Configuration, int] = {}
     for i, component in enumerate(components):
         for config in component:

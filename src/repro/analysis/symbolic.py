@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.analysis.model_checker import strongly_connected_components
 from repro.engine.configuration import Configuration
 from repro.engine.population import Population
 from repro.engine.problems import is_silent
@@ -752,67 +753,64 @@ def _adjacency(
     return offsets, pairs[:, 1].copy()
 
 
-def _int_sccs(
-    n_nodes: int, offsets: np.ndarray, targets: np.ndarray
-) -> list[list[int]]:
-    """Iterative Tarjan over integer node ids with CSR adjacency."""
-    index = np.full(n_nodes, -1, dtype=np.int64)
-    lowlink = np.zeros(n_nodes, dtype=np.int64)
-    on_stack = np.zeros(n_nodes, dtype=bool)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n_nodes):
-        if index[root] >= 0:
-            continue
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work: list[list[int]] = [[root, int(offsets[root])]]
-        while work:
-            frame = work[-1]
-            node = frame[0]
-            advanced = False
-            while frame[1] < offsets[node + 1]:
-                succ = int(targets[frame[1]])
-                frame[1] += 1
-                if index[succ] < 0:
-                    index[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack[succ] = True
-                    work.append([succ, int(offsets[succ])])
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
-
-
 def symbolic_sccs(rs: ReachSet) -> list[list[int]]:
-    """SCCs of the reached quotient (requires ``track_edges=True``)."""
+    """SCCs of the reached quotient (requires ``track_edges=True``).
+
+    The search starts from node ids in increasing order and visits each
+    node's distinct targets in increasing order, so the component order
+    of :func:`~repro.analysis.model_checker.strongly_connected_components`
+    (each component before any that reaches it) is deterministic.
+    """
     if rs.edges_src is None:
         raise VerificationError(
             "SCC analysis needs a reach with track_edges=True"
         )
     offsets, targets = _adjacency(rs.n_nodes, rs.edges_src, rs.edges_dst)
-    return _int_sccs(rs.n_nodes, offsets, targets)
+    # Python lists: the search indexes them one element at a time,
+    # which NumPy arrays make several times slower.
+    bounds = offsets.tolist()
+    flat = targets.tolist()
+    successors = [flat[bounds[k]:bounds[k + 1]] for k in range(rs.n_nodes)]
+    return strongly_connected_components(
+        range(rs.n_nodes), successors.__getitem__
+    )
+
+
+@dataclass
+class _Components:
+    """The SCCs of a reach set, with its edges labelled by component.
+
+    ``src``/``dst``/``rid`` are the recorded edges as arrays.  Per edge,
+    ``internal`` says both ends lie in one component, and ``live`` that
+    the edge is internal and its rule changes a projected name.
+    """
+
+    members: list[list[int]]
+    comp_of: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    rid: np.ndarray
+    internal: np.ndarray
+    live: np.ndarray
+
+
+def _components(rs: ReachSet) -> _Components:
+    """:func:`symbolic_sccs` plus the per-edge bookkeeping that the sink
+    and liveness checks share."""
+    members = symbolic_sccs(rs)
+    comp_of = np.zeros(rs.n_nodes, dtype=np.int64)
+    for cid, comp in enumerate(members):
+        comp_of[comp] = cid
+    src = np.asarray(rs.edges_src, dtype=np.int64)
+    dst = np.asarray(rs.edges_dst, dtype=np.int64)
+    rid = np.asarray(rs.edges_rule, dtype=np.int64)
+    changes = np.asarray(
+        [r.changes_name for r in rs.system.rules], dtype=bool
+    )
+    internal = comp_of[src] == comp_of[dst]
+    return _Components(
+        members, comp_of, src, dst, rid, internal, internal & changes[rid]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1131,8 +1129,6 @@ def _fiber_graph(
 ) -> _FiberGraph:
     """Expand one candidate quotient SCC into its labelled fiber and run
     the exact weak-fairness SCC + pair-coverage analysis on it."""
-    from repro.analysis.quotient import _tarjan
-
     system = rs.system
     protocol = system.protocol
     project = system.project
@@ -1170,7 +1166,7 @@ def _fiber_graph(
     def successors(key: tuple) -> list[tuple]:
         return [tkey for tkey, _, _, _ in edges[key]]
 
-    components = _tarjan(list(configs), successors)
+    components = strongly_connected_components(list(configs), successors)
     comp_of = {
         key: cid
         for cid, members in enumerate(components)
@@ -1340,8 +1336,11 @@ def check_sinks(
 
     Exactly the global-fairness naming condition: every reachable sink
     SCC must be free of name-changing internal edges (livelock) and
-    consist of duplicate-free name vectors.  For symmetric protocols the
-    details also record the Proposition 6 state-level unique-sink audit.
+    consist of duplicate-free name vectors.  A rule that keeps the count
+    row but changes names, such as a swap ``(s, t) -> (t, s)``, is kept
+    as a self-loop edge, so such a livelock is caught too.  For
+    symmetric protocols the details also record the Proposition 6
+    state-level unique-sink audit.
     """
     system = CountsSystem(protocol, name_of)
     population = Population(n_mobile, protocol.requires_leader)
@@ -1349,25 +1348,11 @@ def check_sinks(
         n_mobile, mobile_mode, leader_states, max_roots
     )
     rs = reach(system, roots, max_nodes=max_nodes, track_edges=True)
-    components = symbolic_sccs(rs)
-    comp_of = np.zeros(rs.n_nodes, dtype=np.int64)
-    for cid, comp in enumerate(components):
-        for node in comp:
-            comp_of[node] = cid
-    src = np.asarray(rs.edges_src, dtype=np.int64)
-    dst = np.asarray(rs.edges_dst, dtype=np.int64)
-    rid = np.asarray(rs.edges_rule, dtype=np.int64)
-    changes = np.asarray(
-        [r.changes_name for r in system.rules], dtype=bool
-    )
-    n_comps = len(components)
-    leaves = np.zeros(n_comps, dtype=bool)
-    livelock = np.zeros(n_comps, dtype=bool)
-    if len(src):
-        internal = comp_of[src] == comp_of[dst]
-        np.logical_or.at(leaves, comp_of[src[~internal]], True)
-        live = internal & changes[rid]
-        np.logical_or.at(livelock, comp_of[src[live]], True)
+    sccs = _components(rs)
+    leaves = np.zeros(len(sccs.members), dtype=bool)
+    livelock = np.zeros(len(sccs.members), dtype=bool)
+    np.logical_or.at(leaves, sccs.comp_of[sccs.src[~sccs.internal]], True)
+    np.logical_or.at(livelock, sccs.comp_of[sccs.src[sccs.live]], True)
     dup = duplicate_mask(rs)
 
     details: dict = {"roots": int(rs.n_roots), "sink_sccs": 0}
@@ -1379,14 +1364,12 @@ def check_sinks(
         except VerificationError as exc:
             details["unique_sink_violation"] = str(exc)
 
-    for cid, comp in enumerate(components):
+    for cid, comp in enumerate(sccs.members):
         if leaves[cid]:
             continue
         details["sink_sccs"] += 1
         if livelock[cid]:
-            witness = _sink_lasso_witness(
-                rs, comp, comp_of, population, src, dst, rid, changes
-            )
+            witness = _sink_lasso_witness(rs, comp, sccs, population)
             verdict = SymbolicVerdict(
                 prop="sinks",
                 holds=False,
@@ -1452,22 +1435,17 @@ def check_sinks(
 def _sink_lasso_witness(
     rs: ReachSet,
     comp: list[int],
-    comp_of: np.ndarray,
+    sccs: _Components,
     population: Population,
-    src: np.ndarray,
-    dst: np.ndarray,
-    rid: np.ndarray,
-    changes: np.ndarray,
 ) -> SymbolicWitness:
     """Prefix to a sink component + an internal lasso through a
     name-changing edge, realized as concrete meetings."""
     system = rs.system
     members = set(comp)
-    cid = comp_of[comp[0]]
-    live = np.nonzero(
-        (comp_of[src] == cid) & (comp_of[dst] == cid) & changes[rid]
-    )[0][0]
-    u, v, change_rid = int(src[live]), int(dst[live]), int(rid[live])
+    cid = sccs.comp_of[comp[0]]
+    edge = np.nonzero((sccs.comp_of[sccs.src] == cid) & sccs.live)[0][0]
+    u, v = int(sccs.src[edge]), int(sccs.dst[edge])
+    change_rid = int(sccs.rid[edge])
     anchor = comp[0]
     initial, prefix, config = lift_path(rs, anchor, population)
     lifter = _Lifter(system, population, config)
@@ -1519,27 +1497,13 @@ def check_liveness(
         n_mobile, mobile_mode, leader_states, max_roots
     )
     rs = reach(system, roots, max_nodes=max_nodes, track_edges=True)
-    components = symbolic_sccs(rs)
-    comp_of = np.zeros(rs.n_nodes, dtype=np.int64)
-    for cid, comp in enumerate(components):
-        for node in comp:
-            comp_of[node] = cid
-    src = np.asarray(rs.edges_src, dtype=np.int64)
-    dst = np.asarray(rs.edges_dst, dtype=np.int64)
-    rid = np.asarray(rs.edges_rule, dtype=np.int64)
-    changes = np.asarray(
-        [r.changes_name for r in system.rules], dtype=bool
-    )
-    dup = duplicate_mask(rs)
-    n_comps = len(components)
-    candidate = np.zeros(n_comps, dtype=bool)
-    np.logical_or.at(candidate, comp_of, dup)
-    if len(src):
-        internal = (comp_of[src] == comp_of[dst]) & changes[rid]
-        np.logical_or.at(candidate, comp_of[src[internal]], True)
+    sccs = _components(rs)
+    candidate = np.zeros(len(sccs.members), dtype=bool)
+    np.logical_or.at(candidate, sccs.comp_of, duplicate_mask(rs))
+    np.logical_or.at(candidate, sccs.comp_of[sccs.src[sccs.live]], True)
 
     candidates_checked = 0
-    for cid, comp in enumerate(components):
+    for cid, comp in enumerate(sccs.members):
         if not candidate[cid]:
             continue
         candidates_checked += 1

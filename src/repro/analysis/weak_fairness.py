@@ -111,7 +111,9 @@ def _summarize_components(
     project: Callable[[object], object],
 ) -> list[_ComponentSummary]:
     summaries: list[_ComponentSummary] = []
-    for component in strongly_connected_components(graph):
+    for component in strongly_connected_components(
+        graph.nodes, graph.successors
+    ):
         members = set(component)
         covered: set[Pair] = set()
         changes = False

@@ -33,36 +33,66 @@ from repro.core.spec import (
 from repro.engine.configuration import Configuration
 from repro.engine.population import Population
 from repro.engine.problems import NamingProblem
+from repro.engine.protocol import PopulationProtocol
 from repro.engine.fast import BACKENDS, make_simulator
 from repro.engine.trace import Trace
 from repro.errors import InfeasibleSpecError
 from repro.schedulers.random_pair import RandomPairScheduler
 from repro.schedulers.round_robin import RoundRobinScheduler
 
-_FAIRNESS = {f.value: f for f in Fairness}
-_SYMMETRY = {s.value: s for s in Symmetry}
-_LEADER = {
-    "none": LeaderKind.NONE,
-    "non-initialized": LeaderKind.NON_INITIALIZED,
-    "initialized": LeaderKind.INITIALIZED,
+#: The four model flags of ``show``, ``simulate`` and ``check``, in
+#: ``ModelSpec`` field order: flag -> (choice -> value, default).
+_MODEL_FLAGS: dict[str, tuple[dict, str]] = {
+    "fairness": ({f.value: f for f in Fairness}, "global"),
+    "symmetry": ({s.value: s for s in Symmetry}, "symmetric"),
+    "leader": (
+        {
+            "none": LeaderKind.NONE,
+            "non-initialized": LeaderKind.NON_INITIALIZED,
+            "initialized": LeaderKind.INITIALIZED,
+        },
+        "none",
+    ),
+    "init": ({i.value: i for i in MobileInit}, "arbitrary"),
 }
-_INIT = {i.value: i for i in MobileInit}
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare ``--fairness``, ``--symmetry``, ``--leader`` and ``--init``."""
+    for flag, (choices, default) in _MODEL_FLAGS.items():
+        parser.add_argument(
+            f"--{flag}", choices=sorted(choices), default=default
+        )
+
+
+def _model(
+    args: argparse.Namespace,
+) -> tuple[ModelSpec, PopulationProtocol] | None:
+    """The spec the model flags name and its protocol at ``args.bound``.
+
+    Prints why and returns ``None`` when the model is infeasible; the
+    commands then exit with status 2.
+    """
+    spec = ModelSpec(
+        *(
+            choices[getattr(args, flag)]
+            for flag, (choices, _) in _MODEL_FLAGS.items()
+        )
+    )
+    try:
+        return spec, protocol_for(spec, args.bound)
+    except InfeasibleSpecError as exc:
+        print(f"infeasible model: {exc}")
+        return None
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
     from repro.reporting.rules import render_rules
 
-    spec = ModelSpec(
-        _FAIRNESS[args.fairness],
-        _SYMMETRY[args.symmetry],
-        _LEADER[args.leader],
-        _INIT[args.init],
-    )
-    try:
-        protocol = protocol_for(spec, args.bound)
-    except InfeasibleSpecError as exc:
-        print(f"infeasible model: {exc}")
+    model = _model(args)
+    if model is None:
         return 2
+    spec, protocol = model
     cell = table1_cell(spec)
     print(f"model : {spec.describe()}")
     print(f"paper : {cell.protocol_ref}, optimal "
@@ -75,17 +105,10 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import random
 
-    spec = ModelSpec(
-        _FAIRNESS[args.fairness],
-        _SYMMETRY[args.symmetry],
-        _LEADER[args.leader],
-        _INIT[args.init],
-    )
-    try:
-        protocol = protocol_for(spec, args.bound)
-    except InfeasibleSpecError as exc:
-        print(f"infeasible model: {exc}")
+    model = _model(args)
+    if model is None:
         return 2
+    spec, protocol = model
     cell = table1_cell(spec)
     population = Population(args.n, protocol.requires_leader)
     if spec.fairness is Fairness.WEAK:
@@ -170,32 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     show = sub.add_parser(
         "show", help="print a protocol's transition rules by model"
     )
-    show.add_argument(
-        "--fairness", choices=sorted(_FAIRNESS), default="global"
-    )
-    show.add_argument(
-        "--symmetry", choices=sorted(_SYMMETRY), default="symmetric"
-    )
-    show.add_argument("--leader", choices=sorted(_LEADER), default="none")
-    show.add_argument("--init", choices=sorted(_INIT), default="arbitrary")
+    _add_model_flags(show)
     show.add_argument("--bound", "-P", type=int, default=4)
     show.add_argument("--max-rules", type=int, default=60)
 
     simulate = sub.add_parser(
         "simulate", help="run one naming protocol by model parameters"
     )
-    simulate.add_argument(
-        "--fairness", choices=sorted(_FAIRNESS), default="global"
-    )
-    simulate.add_argument(
-        "--symmetry", choices=sorted(_SYMMETRY), default="symmetric"
-    )
-    simulate.add_argument(
-        "--leader", choices=sorted(_LEADER), default="none"
-    )
-    simulate.add_argument(
-        "--init", choices=sorted(_INIT), default="arbitrary"
-    )
+    _add_model_flags(simulate)
     simulate.add_argument("--bound", "-P", type=int, default=8)
     simulate.add_argument("--n", "-N", type=int, default=6)
     simulate.add_argument("--seed", type=int, default=0)

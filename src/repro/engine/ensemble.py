@@ -69,6 +69,28 @@ BLEAP_MIN_POPULATION = 10_000
 #: anyway and lockstep batching wins.
 FLUID_MIN_POPULATION = 1_000_000
 
+#: Backends that run a whole seed chunk as one lockstep batch.
+_LOCKSTEP_BACKENDS = ("batch", "bleap")
+
+
+def resolve_backend(backend: str, population: Population) -> str:
+    """The backend that serves ``backend`` for ``population``.
+
+    ``"auto"`` resolves by population size against
+    :data:`FLUID_MIN_POPULATION` and :data:`BLEAP_MIN_POPULATION` (see
+    :func:`run_ensemble`); any other name passes through.  The serving
+    layer keys memoized results by the resolved name, so they are never
+    replayed across backends.
+    """
+    if backend != "auto":
+        return backend
+    if population.size >= FLUID_MIN_POPULATION:
+        return "fluid"
+    if population.size >= BLEAP_MIN_POPULATION:
+        return "bleap"
+    return "batch"
+
+
 #: Builds a fresh scheduler for a seed.
 SchedulerFactory = Callable[[Population, int], Scheduler]
 
@@ -451,13 +473,7 @@ def run_ensemble(
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be a positive integer, got {n_jobs}")
-    if backend == "auto":
-        if population.size >= FLUID_MIN_POPULATION:
-            backend = "fluid"
-        elif population.size >= BLEAP_MIN_POPULATION:
-            backend = "bleap"
-        else:
-            backend = "batch"
+    backend = resolve_backend(backend, population)
     seeds = list(seeds)
     common = (
         protocol,
@@ -473,7 +489,7 @@ def run_ensemble(
         sanitize,
     )
     ensemble = EnsembleResult()
-    lockstep = backend in ("batch", "bleap")
+    lockstep = backend in _LOCKSTEP_BACKENDS
     if lockstep:
         # Lockstep batches want to be wide: one chunk per worker (not
         # four) so each worker advances as many rows per kernel step as

@@ -266,7 +266,6 @@ class FluidSimulator:
                 observer=observer,
             )
         self.last_run_native = True
-        self._leap._leader_pos = initial.leader_index
         return self._run_native(
             counts, max_interactions, raise_on_timeout, materialize=True,
             leader_pos=initial.leader_index,
@@ -331,7 +330,6 @@ class FluidSimulator:
                 f"{self.population.size} agents"
             )
         self.last_run_native = True
-        self._leap._leader_pos = None
         return self._run_native(
             counts, max_interactions, raise_on_timeout,
             materialize=materialize, leader_pos=None,

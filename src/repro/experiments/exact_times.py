@@ -21,8 +21,11 @@ import math
 import time
 from dataclasses import dataclass
 
-from repro.analysis.markov import expected_convergence_time, naming_absorbing
-from repro.analysis.quotient import QuotientNode
+from repro.analysis.markov import (
+    QuotientNode,
+    expected_convergence_time,
+    naming_absorbing,
+)
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.core.global_naming import GlobalNamingProtocol
 from repro.core.symmetric_global import SymmetricGlobalNamingProtocol

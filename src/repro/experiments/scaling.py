@@ -3,11 +3,12 @@
 
 How far does each verification technique reach?  This experiment measures
 explored state-space sizes and wall-clock time for the labelled checker,
-the quotient checker and the weak-fairness checker across instance sizes,
-on the paper's protocols.  It quantifies the reproduction's verification
-story: the quotient abstraction buys roughly ``N!`` and pushes exact
-verification past everything simulation can certify (most strikingly
-Protocol 3 at ``N = P = 5``).
+the symbolic sink check on the counts quotient
+(:func:`repro.analysis.symbolic.check_sinks`) and the weak-fairness
+checker across instance sizes, on the paper's protocols.  It quantifies
+the reproduction's verification story: the quotient abstraction buys
+roughly ``N!`` and pushes exact verification past everything simulation
+can certify (most strikingly Protocol 3 at ``N = P = 5``).
 
 The ``--simulate`` mode asks the complementary question - how far does
 *simulation* reach?  It sweeps the asymmetric naming dynamics
@@ -39,11 +40,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.analysis.model_checker import check_naming_global
-from repro.analysis.quotient import (
-    arbitrary_quotient_initials,
-    check_naming_global_quotient,
-)
 from repro.analysis.reachability import arbitrary_initial_configurations
+from repro.analysis.symbolic import check_sinks
 from repro.analysis.weak_fairness import check_naming_weak
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.core.global_naming import GlobalNamingProtocol
@@ -117,35 +115,31 @@ def _run_point(spec: tuple[str, int, str]) -> ScalePoint:
         leaders = None
 
     start = time.perf_counter()
-    if technique == "global (labelled)":
-        verdict = check_naming_global(
-            protocol,
-            population,
-            arbitrary_initial_configurations(protocol, population, leaders)
-            if leaders
-            else arbitrary_initial_configurations(protocol, population),
+    if technique == "global (quotient)":
+        symbolic = check_sinks(
+            protocol, n, mobile_mode="arbitrary", leader_states=leaders
         )
-    elif technique == "global (quotient)":
-        verdict = check_naming_global_quotient(
-            protocol,
-            arbitrary_quotient_initials(protocol, n, leaders)
-            if leaders
-            else arbitrary_quotient_initials(protocol, n),
-        )
+        nodes, solves = symbolic.explored, symbolic.holds
     else:
-        verdict = check_naming_weak(
+        check = (
+            check_naming_global
+            if technique == "global (labelled)"
+            else check_naming_weak
+        )
+        verdict = check(
             protocol,
             population,
-            arbitrary_initial_configurations(protocol, population),
+            arbitrary_initial_configurations(protocol, population, leaders),
         )
+        nodes, solves = verdict.explored_nodes, verdict.solves
     return ScalePoint(
         protocol=label,
         n_mobile=n,
         bound=n,
         technique=technique,
-        nodes=verdict.explored_nodes,
+        nodes=nodes,
         seconds=time.perf_counter() - start,
-        solves=verdict.solves,
+        solves=solves,
     )
 
 

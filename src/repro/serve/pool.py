@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.engine.ensemble import (
+    _LOCKSTEP_BACKENDS,
     EnsembleResult,
     _chunk_seeds,
     _run_batch_chunk,
@@ -66,9 +67,6 @@ from repro.serve.spec import JobSpec, job_key, protocol_fingerprint
 #: Artifact kinds used by the pool.
 PROTOCOL_KIND = "protocol"
 COMPILED_KIND = "compiled"
-
-#: Backends served as one lockstep batch per worker chunk.
-_LOCKSTEP_BACKENDS = ("batch", "bleap")
 
 #: Smallest lockstep batch worth splitting off as its own worker chunk.
 #: ``run_ensemble`` splits a single ensemble into one chunk per worker

@@ -28,10 +28,9 @@ import inspect
 from dataclasses import dataclass
 
 from repro.engine.ensemble import (
-    BLEAP_MIN_POPULATION,
-    FLUID_MIN_POPULATION,
     InitialFactory,
     SchedulerFactory,
+    resolve_backend,
 )
 from repro.engine.fast import DEFAULT_COMPILE_LIMIT, table_fingerprint
 from repro.engine.population import Population
@@ -77,21 +76,6 @@ def callable_token(obj: object) -> str:
     if cls.__repr__ is not object.__repr__:
         return f"{token}|{obj!r}"
     return token
-
-
-def resolve_backend(backend: str, population: Population) -> str:
-    """Resolve ``"auto"`` exactly as ``run_ensemble`` does.
-
-    The resolved name enters the job key (memoized results must never be
-    replayed across backends) and drives the pool's chunking policy.
-    """
-    if backend != "auto":
-        return backend
-    if population.size >= FLUID_MIN_POPULATION:
-        return "fluid"
-    if population.size >= BLEAP_MIN_POPULATION:
-        return "bleap"
-    return "batch"
 
 
 @dataclass(frozen=True)

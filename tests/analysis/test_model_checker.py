@@ -27,7 +27,9 @@ class TestSCC:
     def test_silent_configs_are_singletons(self):
         protocol = AsymmetricNamingProtocol(2)
         pop, graph = graph_of(protocol, 2, [Configuration((0, 0))])
-        components = strongly_connected_components(graph)
+        components = strongly_connected_components(
+            graph.nodes, graph.successors
+        )
         assert all(len(c) == 1 for c in components)
         assert len(components) == 3
 
@@ -35,7 +37,9 @@ class TestSCC:
         # Prop 13's two-agent cycle: (1,1) -> (P,P) -> (1,1).
         protocol = SymmetricGlobalNamingProtocol(3)
         pop, graph = graph_of(protocol, 2, [Configuration((1, 1))])
-        components = strongly_connected_components(graph)
+        components = strongly_connected_components(
+            graph.nodes, graph.successors
+        )
         sizes = sorted(len(c) for c in components)
         assert 2 in sizes  # the {(1,1),(3,3)} cycle
 
@@ -58,7 +62,9 @@ class TestSCC:
         )
         pop = Population(2)
         graph = explore(chain, pop, [Configuration((0, 0))])
-        components = strongly_connected_components(graph)
+        components = strongly_connected_components(
+            graph.nodes, graph.successors
+        )
         assert all(len(c) == 1 for c in components)
 
 

@@ -1,17 +1,17 @@
-"""Tests for the quotient (multiset) global-fairness checker."""
+"""Tests for the counts quotient: configurations up to agent relabelling.
 
+The symbolic checker (:mod:`repro.analysis.symbolic`) encodes each
+configuration as its count row and explores those rows; these tests pin
+down that the encoding forgets exactly the agent labels and that the
+exploration keeps the name-changing self-loops a naive quotient loses.
+"""
+
+import numpy as np
 import pytest
 
-from repro.analysis.model_checker import check_naming_global
-from repro.analysis.quotient import (
-    arbitrary_quotient_initials,
-    check_naming_global_quotient,
-    explore_quotient,
-    quotient_of,
-)
+from repro.analysis import symbolic as S
 from repro.analysis.reachability import arbitrary_initial_configurations
-from repro.core.asymmetric import AsymmetricNamingProtocol
-from repro.core.global_naming import GlobalNamingProtocol
+from repro.core.counting import CountingLeaderState, CountingProtocol
 from repro.core.selfstab_naming import SelfStabilizingNamingProtocol
 from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.configuration import Configuration
@@ -20,21 +20,34 @@ from repro.engine.protocol import TableProtocol
 from repro.errors import VerificationError
 
 
+def swap_protocol():
+    return TableProtocol(
+        {(0, 1): (1, 0), (1, 0): (0, 1)}, mobile_states=[0, 1]
+    )
+
+
 class TestQuotientOf:
     def test_sorts_mobile_states(self):
-        config = Configuration((3, 1, 2))
-        assert quotient_of(config) == ((1, 2, 3), None)
+        system = S.CountsSystem(TableProtocol({}, mobile_states=[1, 2, 3]))
+        row = system.encode(Configuration((3, 1, 2)))
+        canonical = system.decode(row, Population(3))
+        assert canonical.mobile_states == (1, 2, 3)
+        assert not canonical.has_leader
 
     def test_keeps_leader_state(self):
-        from repro.core.counting import CountingLeaderState
-
+        system = S.CountsSystem(CountingProtocol(4))
         leader = CountingLeaderState(1, 2)
         config = Configuration((3, 1, leader), leader_index=2)
-        assert quotient_of(config) == ((1, 3), leader)
+        row = system.encode(config)
+        canonical = system.decode(row, Population(2, has_leader=True))
+        assert canonical.mobile_states == (1, 3)
+        assert canonical.leader_state == leader
 
     def test_equivalent_configs_share_quotient(self):
-        assert quotient_of(Configuration((1, 2))) == quotient_of(
-            Configuration((2, 1))
+        system = S.CountsSystem(TableProtocol({}, mobile_states=[1, 2]))
+        assert np.array_equal(
+            system.encode(Configuration((1, 2))),
+            system.encode(Configuration((2, 1))),
         )
 
 
@@ -45,107 +58,48 @@ class TestExploreQuotient:
         labelled = len(
             list(arbitrary_initial_configurations(protocol, pop))
         )
-        quotient = len(arbitrary_quotient_initials(protocol, 3))
+        quotient = len(
+            S.CountsSystem(protocol).root_matrix(3, "arbitrary")
+        )
         assert quotient < labelled
 
     def test_rejects_empty_initials(self):
-        protocol = AsymmetricNamingProtocol(2)
+        system = S.CountsSystem(swap_protocol())
+        no_roots = np.empty((0, system.width), dtype=np.int32)
         with pytest.raises(VerificationError):
-            explore_quotient(protocol, [])
+            S.reach(system, no_roots)
 
     def test_node_budget(self):
         protocol = SelfStabilizingNamingProtocol(3)
-        single_start = arbitrary_quotient_initials(protocol, 3)[:1]
+        system = S.CountsSystem(protocol)
+        single_start = system.root_matrix(3, "arbitrary")[:1]
         with pytest.raises(VerificationError, match="exceeded"):
-            explore_quotient(protocol, single_start, max_nodes=2)
-
-
-class TestAgreementWithLabelledChecker:
-    """The quotient verdict must equal the labelled verdict - the
-    uniform-lifting equivalence, checked mechanically."""
-
-    CASES = [
-        (SymmetricGlobalNamingProtocol(3), 3, None, True),
-        (SymmetricGlobalNamingProtocol(3), 2, None, False),
-        (SymmetricGlobalNamingProtocol(4), 3, None, True),
-        (AsymmetricNamingProtocol(3), 3, None, True),
-        (AsymmetricNamingProtocol(4), 2, None, True),
-    ]
-
-    @pytest.mark.parametrize(
-        "protocol,n,leaders,expected",
-        CASES,
-        ids=lambda v: getattr(v, "display_name", str(v)),
-    )
-    def test_agreement(self, protocol, n, leaders, expected):
-        pop = Population(n, protocol.requires_leader)
-        labelled = check_naming_global(
-            protocol,
-            pop,
-            arbitrary_initial_configurations(protocol, pop, leaders),
-        )
-        quotient = check_naming_global_quotient(
-            protocol, arbitrary_quotient_initials(protocol, n, leaders)
-        )
-        assert labelled.solves == quotient.solves == expected
-
-    def test_agreement_with_leader(self):
-        protocol = GlobalNamingProtocol(3)
-        pop = Population(3, has_leader=True)
-        leaders = [protocol.initial_leader_state()]
-        labelled = check_naming_global(
-            protocol,
-            pop,
-            arbitrary_initial_configurations(protocol, pop, leaders),
-        )
-        quotient = check_naming_global_quotient(
-            protocol, arbitrary_quotient_initials(protocol, 3, leaders)
-        )
-        assert labelled.solves and quotient.solves
+            S.reach(system, single_start, max_nodes=2)
 
 
 class TestSwapSubtlety:
     def test_multiset_preserving_swap_detected(self):
         """(s, t) -> (t, s) is a quotient self-loop that changes names:
         missing it would wrongly certify a livelocking protocol."""
-        swap = TableProtocol(
-            {(0, 1): (1, 0), (1, 0): (0, 1)}, mobile_states=[0, 1]
+        system = S.CountsSystem(swap_protocol())
+        both = np.zeros((1, system.width), dtype=np.int32)
+        both[0, system.midx[0]] = both[0, system.midx[1]] = 1
+        rs = S.reach(system, both, track_edges=True)
+        assert rs.n_nodes == 1
+        assert rs.n_edges == 2
+        assert set(rs.edges_src) == set(rs.edges_dst) == {0}
+
+        # Duplicate starts funnel into that swapping pair, whose only
+        # edges are the self-loops: the sink check must still refuse.
+        funnel = TableProtocol(
+            {
+                (0, 0): (0, 1),
+                (1, 1): (0, 1),
+                (0, 1): (1, 0),
+                (1, 0): (0, 1),
+            },
+            mobile_states=[0, 1],
         )
-        verdict = check_naming_global_quotient(swap, [((0, 1), None)])
-        assert not verdict.solves
+        verdict = S.check_sinks(funnel, 2, mobile_mode="arbitrary")
+        assert not verdict.holds
         assert "never" in verdict.reason
-
-
-class TestScaling:
-    """Instances out of reach for the labelled checker."""
-
-    def test_prop13_full_population_p6(self):
-        protocol = SymmetricGlobalNamingProtocol(6)
-        verdict = check_naming_global_quotient(
-            protocol, arbitrary_quotient_initials(protocol, 6)
-        )
-        assert verdict.solves
-
-    def test_protocol3_full_population_p5(self):
-        """N = P = 5 for Protocol 3: unreachable by simulation (the sweep
-        cost explodes) and by the labelled checker (3125-fold blow-up);
-        the quotient decides it exactly."""
-        protocol = GlobalNamingProtocol(5)
-        verdict = check_naming_global_quotient(
-            protocol,
-            arbitrary_quotient_initials(
-                protocol, 5, [protocol.initial_leader_state()]
-            ),
-        )
-        assert verdict.solves
-
-    def test_protocol2_not_correct_under_global_quotient_weakness(self):
-        """Protocol 2 is a weak-fairness protocol; under global fairness
-        it is also correct (globally fair random schedules are weakly fair
-        w.p. 1 in simulation), and the quotient checker confirms the
-        stronger statement exactly for a small instance."""
-        protocol = SelfStabilizingNamingProtocol(2)
-        verdict = check_naming_global_quotient(
-            protocol, arbitrary_quotient_initials(protocol, 2)
-        )
-        assert verdict.solves

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import symbolic as S
+from repro.core.global_naming import GlobalNamingProtocol
 from repro.core.selfstab_naming import SelfStabilizingNamingProtocol
 from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.population import Population
@@ -173,6 +174,24 @@ class TestReach:
         assert max(len(c) for c in sccs) == 1  # swap is a self-loop
         # in the quotient: counts {0:1, 1:1} maps to itself
 
+    def test_sccs_in_reverse_topological_order(self):
+        # Every edge stays in its component or enters an earlier one.
+        # The checkers report the first failing component they meet, so
+        # this order decides their witnesses.
+        system = S.CountsSystem(SymmetricGlobalNamingProtocol(6))
+        roots = system.root_matrix(4, "arbitrary")
+        rs = S.reach(system, roots, track_edges=True)
+        sccs = S.symbolic_sccs(rs)
+        assert (rs.n_nodes, len(sccs)) == (210, 103)
+        assert sum(len(c) > 1 for c in sccs) == 7
+        position = {
+            node: cid for cid, comp in enumerate(sccs) for node in comp
+        }
+        assert all(
+            position[dst] <= position[src]
+            for src, dst in zip(rs.edges_src, rs.edges_dst)
+        )
+
 
 class TestWitnessRoundTrip:
     """Every FAIL kind must come with a replay-validated witness."""
@@ -237,6 +256,26 @@ class TestPositiveVerdicts:
             )
             assert verdict.holds, verdict.render()
             assert verdict.witness is None
+
+    @pytest.mark.parametrize(
+        "make,n,initialized",
+        [
+            (SymmetricGlobalNamingProtocol, 6, False),
+            (GlobalNamingProtocol, 5, True),
+            (SelfStabilizingNamingProtocol, 2, False),
+        ],
+        ids=["prop13-n6", "protocol3-n5", "protocol2-n2"],
+    )
+    def test_sinks_hold_at_n_equals_p(self, make, n, initialized):
+        # Prop. 13 at N = P = 6 and Protocol 3 at N = P = 5 (initialized
+        # leader) are out of the labelled checker's reach; Protocol 2
+        # roots in every leader state.
+        protocol = make(n)
+        leaders = [protocol.initial_leader_state()] if initialized else None
+        verdict = S.check_sinks(
+            protocol, n, mobile_mode="arbitrary", leader_states=leaders
+        )
+        assert verdict.holds, verdict.render()
 
     def test_prop16_passes_all_properties(self):
         protocol = SelfStabilizingNamingProtocol(5)

@@ -20,8 +20,11 @@ from repro.analysis.reachability import (
     uniform_initial_configurations,
 )
 from repro.analysis.weak_fairness import check_naming_weak
+from repro.core.asymmetric import AsymmetricNamingProtocol
+from repro.core.global_naming import GlobalNamingProtocol
 from repro.core.registry import protocol_for
 from repro.core.spec import all_specs
+from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.population import Population
 from repro.errors import InfeasibleSpecError
 
@@ -120,3 +123,48 @@ class TestDifferential:
         assert explicit.solves == symbolic.holds
         if not symbolic.holds:
             assert symbolic.replay_validated is True
+
+
+class TestAgreementWithLabelledChecker:
+    """The sink check on the counts quotient must give the labelled
+    global-fairness verdict, failures included - the uniform-lifting
+    equivalence, checked mechanically."""
+
+    CASES = [
+        (SymmetricGlobalNamingProtocol(3), 3, None, True),
+        (SymmetricGlobalNamingProtocol(3), 2, None, False),
+        (SymmetricGlobalNamingProtocol(4), 3, None, True),
+        (AsymmetricNamingProtocol(3), 3, None, True),
+        (AsymmetricNamingProtocol(4), 2, None, True),
+    ]
+
+    @pytest.mark.parametrize(
+        "protocol,n,leaders,expected",
+        CASES,
+        ids=lambda v: getattr(v, "display_name", str(v)),
+    )
+    def test_agreement(self, protocol, n, leaders, expected):
+        pop = Population(n, protocol.requires_leader)
+        labelled = check_naming_global(
+            protocol,
+            pop,
+            arbitrary_initial_configurations(protocol, pop, leaders),
+        )
+        symbolic = S.check_sinks(
+            protocol, n, mobile_mode="arbitrary", leader_states=leaders
+        )
+        assert labelled.solves == symbolic.holds == expected
+
+    def test_agreement_with_leader(self):
+        protocol = GlobalNamingProtocol(3)
+        pop = Population(3, has_leader=True)
+        leaders = [protocol.initial_leader_state()]
+        labelled = check_naming_global(
+            protocol,
+            pop,
+            arbitrary_initial_configurations(protocol, pop, leaders),
+        )
+        symbolic = S.check_sinks(
+            protocol, 3, mobile_mode="arbitrary", leader_states=leaders
+        )
+        assert labelled.solves and symbolic.holds

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.analysis.model_checker import check_naming_global
-from repro.analysis.quotient import (
-    arbitrary_quotient_initials,
-    check_naming_global_quotient,
-)
 from repro.analysis.reachability import arbitrary_initial_configurations
+from repro.analysis.symbolic import check_sinks
 from repro.analysis.weak_fairness import check_naming_weak
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.core.counting import CountingProtocol
@@ -109,21 +106,23 @@ class TestExactVerification:
 
     def test_solves_global_n3_quotient_checker(self):
         protocol = transformed(3)
-        verdict = check_naming_global_quotient(
+        verdict = check_sinks(
             protocol,
-            arbitrary_quotient_initials(protocol, 3),
+            3,
+            mobile_mode="arbitrary",
             name_of=SymmetrizedProtocol.project,
         )
-        assert verdict.solves
+        assert verdict.holds
 
     def test_fails_global_n2(self):
         protocol = transformed(3)
-        verdict = check_naming_global_quotient(
+        verdict = check_sinks(
             protocol,
-            arbitrary_quotient_initials(protocol, 2),
+            2,
+            mobile_mode="arbitrary",
             name_of=SymmetrizedProtocol.project,
         )
-        assert not verdict.solves
+        assert not verdict.holds
 
     def test_fails_under_weak_fairness(self):
         """The transformer needs global fairness (footnote 5): the exact

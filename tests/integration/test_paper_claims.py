@@ -87,32 +87,24 @@ class TestProposition4Tightness:
     fails, exactly as the proposition demands."""
 
     def test_protocol3_fails_with_arbitrary_leader(self):
-        from repro.analysis.quotient import (
-            arbitrary_quotient_initials,
-            check_naming_global_quotient,
-        )
+        from repro.analysis.symbolic import check_sinks
 
         protocol = GlobalNamingProtocol(2)
         # leader_states=None: every leader state is a legal start.
-        verdict = check_naming_global_quotient(
-            protocol, arbitrary_quotient_initials(protocol, 2)
-        )
-        assert not verdict.solves
+        verdict = check_sinks(protocol, 2, mobile_mode="arbitrary")
+        assert not verdict.holds
 
     def test_protocol3_succeeds_with_initialized_leader(self):
-        from repro.analysis.quotient import (
-            arbitrary_quotient_initials,
-            check_naming_global_quotient,
-        )
+        from repro.analysis.symbolic import check_sinks
 
         protocol = GlobalNamingProtocol(2)
-        verdict = check_naming_global_quotient(
+        verdict = check_sinks(
             protocol,
-            arbitrary_quotient_initials(
-                protocol, 2, [protocol.initial_leader_state()]
-            ),
+            2,
+            mobile_mode="arbitrary",
+            leader_states=[protocol.initial_leader_state()],
         )
-        assert verdict.solves
+        assert verdict.holds
 
 
 class TestTheorem11:

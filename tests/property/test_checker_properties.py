@@ -3,8 +3,9 @@
 Random tiny protocols are generated with hypothesis and the three
 independent implementations are pitted against each other:
 
-* the labelled global-fairness checker vs. the quotient checker - they
-  were derived separately (vector SCCs vs. multiset SCCs) and must agree;
+* the labelled global-fairness checker vs. the symbolic sink check on
+  the counts quotient - they were derived separately (vector SCCs vs.
+  count-row SCCs) and must agree;
 * the weak-fairness checker vs. the counterexample synthesizer - whenever
   the checker says "fails", the synthesizer must produce a schedule that
   replays correctly, and whenever it says "solves", synthesis must fail.
@@ -18,11 +19,8 @@ from repro.analysis.counterexample import (
     verify_counterexample,
 )
 from repro.analysis.model_checker import check_naming_global
-from repro.analysis.quotient import (
-    arbitrary_quotient_initials,
-    check_naming_global_quotient,
-)
 from repro.analysis.reachability import arbitrary_initial_configurations
+from repro.analysis.symbolic import check_sinks
 from repro.analysis.weak_fairness import check_naming_weak
 from repro.engine.population import Population
 from repro.engine.protocol import TableProtocol
@@ -55,10 +53,8 @@ class TestLabelledVsQuotient:
             population,
             arbitrary_initial_configurations(protocol, population),
         )
-        quotient = check_naming_global_quotient(
-            protocol, arbitrary_quotient_initials(protocol, n)
-        )
-        assert labelled.solves == quotient.solves
+        quotient = check_sinks(protocol, n, mobile_mode="arbitrary")
+        assert labelled.solves == quotient.holds
 
     @settings(max_examples=50, deadline=None)
     @given(random_protocols(num_states=3))
@@ -69,10 +65,8 @@ class TestLabelledVsQuotient:
             population,
             arbitrary_initial_configurations(protocol, population),
         )
-        quotient = check_naming_global_quotient(
-            protocol, arbitrary_quotient_initials(protocol, 2)
-        )
-        assert labelled.solves == quotient.solves
+        quotient = check_sinks(protocol, 2, mobile_mode="arbitrary")
+        assert labelled.solves == quotient.holds
 
 
 class TestWeakCheckerVsSynthesizer:

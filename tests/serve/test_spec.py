@@ -95,9 +95,14 @@ class TestResolveBackend:
         assert resolve_backend("fast", Population(10)) == "fast"
 
     def test_auto_matches_run_ensemble_thresholds(self):
-        assert resolve_backend("auto", Population(10)) == "batch"
-        assert resolve_backend("auto", Population(10_000)) == "bleap"
-        assert resolve_backend("auto", Population(1_000_000)) == "fluid"
+        for n, backend in (
+            (10, "batch"),
+            (9_999, "batch"),
+            (10_000, "bleap"),
+            (999_999, "bleap"),
+            (1_000_000, "fluid"),
+        ):
+            assert resolve_backend("auto", Population(n)) == backend, n
 
 
 class TestJobKey:

@@ -47,7 +47,6 @@ class TestExports:
             "repro.cli",
             "repro.errors",
             "repro.analysis.counterexample",
-            "repro.analysis.quotient",
             "repro.core.transformer",
             "repro.core.leader_election",
             "repro.engine.ensemble",
