@@ -43,7 +43,7 @@ from repro.analysis.symbolic import (
     SymbolicVerdict,
     check_property,
 )
-from repro.cli import _add_model_flags, _model
+from repro.cli import _add_model_flags, _model, population_size
 from repro.core.spec import Fairness, LeaderKind, MobileInit, table1_cell
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.state import State
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--n",
         "-N",
-        type=int,
+        type=population_size,
         default=3,
         help="mobile population size (default: %(default)s)",
     )

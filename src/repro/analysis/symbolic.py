@@ -34,7 +34,10 @@ duplicate-name member - every labelled failure projects into one), and
 only their *fibers* (the labelled configurations over those count
 vectors - multinomially many in N, independent of the state bound P)
 are expanded for the exact labelled SCC + pair-coverage
-characterization of :mod:`repro.analysis.weak_fairness`.  Agent
+characterization of :mod:`repro.analysis.weak_fairness`.  A candidate
+without an internal edge is settled from its count row alone: its
+fiber has no edges, so it hosts a weakly fair execution iff every
+present agent pair has a null orientation.  Agent
 anonymity makes the fiber graph permutation-symmetric, which is what
 lets a quotient witness path be re-anchored onto a concrete violating
 component.  The differential tests gate this equivalence against the
@@ -724,6 +727,35 @@ def duplicate_mask(rs: ReachSet) -> np.ndarray:
     N = node_matrix(rs)
     name_counts = N[:, : rs.system.M] @ rs.system.name_matrix
     return (name_counts >= 2).any(axis=1)
+
+
+def parking_mask(rs: ReachSet) -> np.ndarray:
+    """Per-node: every agent pair present has a null orientation.
+
+    At such a row a weakly fair scheduler can meet every pair without
+    changing a state, so an execution may stay there forever.  Mobile
+    states ``i, j`` form a present pair when both occur (``i == j``:
+    twice) and are null if ``(i, j)`` or ``(j, i)`` is; the leader and a
+    present state ``i`` are null unless both orientations fire.  Not
+    silence: with asymmetric rules a pair may be null one way only.
+    """
+    system = rs.system
+    M = system.M
+    N = node_matrix(rs)
+    counts = N[:, :M]
+    present = counts >= 1
+    blocked = ~(system._mm_null | system._mm_null.T)
+    parks = ~((counts >= 2) & np.diag(blocked)).any(axis=1)
+    np.fill_diagonal(blocked, False)
+    parks &= ~(present & (present @ blocked)).any(axis=1)
+    if system.has_leader:
+        lv = N[:, M]
+        stuck = np.zeros((int(lv.max()) + 1, M), dtype=bool)
+        for li in np.unique(lv):
+            group = system.leader_group(int(li))
+            stuck[li] = group.nonnull_lf & group.nonnull_mf
+        parks &= ~(present & stuck[lv]).any(axis=1)
+    return parks
 
 
 # ----------------------------------------------------------------------
@@ -1483,9 +1515,12 @@ def check_liveness(
     """Weak-fairness naming via candidate-SCC fiber expansion.
 
     The quotient frontier filters the reachable space down to candidate
-    SCCs (internal name-changing edge or duplicate-name member); only
-    those fibers are expanded for the exact labelled SCC +
-    pair-coverage characterization, so the verdict matches
+    SCCs (internal name-changing edge or duplicate-name member).  A
+    candidate without an internal edge is one row that every non-null
+    meeting leaves, so it hosts a weakly fair execution iff
+    :func:`parking_mask` holds there; only the candidates left are
+    expanded into fibers for the exact labelled SCC + pair-coverage
+    characterization, so the verdict matches
     :func:`repro.analysis.weak_fairness.check_naming_weak` while the
     exploration scales with the quotient.  FAIL verdicts come with a
     constructive weakly fair schedule (every agent pair meets every
@@ -1501,12 +1536,20 @@ def check_liveness(
     candidate = np.zeros(len(sccs.members), dtype=bool)
     np.logical_or.at(candidate, sccs.comp_of, duplicate_mask(rs))
     np.logical_or.at(candidate, sccs.comp_of[sccs.src[sccs.live]], True)
+    has_edges = np.zeros(len(sccs.members), dtype=bool)
+    np.logical_or.at(has_edges, sccs.comp_of[sccs.src[sccs.internal]], True)
+    parks = parking_mask(rs)
 
     candidates_checked = 0
     for cid, comp in enumerate(sccs.members):
         if not candidate[cid]:
             continue
         candidates_checked += 1
+        if not has_edges[cid] and not parks[comp[0]]:
+            # One row without a self-loop: every non-null meeting leaves
+            # it, so each labelled configuration over it is its own fiber
+            # SCC, covering just the pairs with a null orientation.
+            continue
         fiber = _fiber_graph(rs, comp, population, max_fiber)
         if not fiber.kinds:
             continue

@@ -36,7 +36,7 @@ from repro.engine.problems import NamingProblem
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.fast import BACKENDS, make_simulator
 from repro.engine.trace import Trace
-from repro.errors import InfeasibleSpecError
+from repro.errors import InfeasibleSpecError, ProtocolError, SchedulerError
 from repro.schedulers.random_pair import RandomPairScheduler
 from repro.schedulers.round_robin import RoundRobinScheduler
 
@@ -70,8 +70,8 @@ def _model(
 ) -> tuple[ModelSpec, PopulationProtocol] | None:
     """The spec the model flags name and its protocol at ``args.bound``.
 
-    Prints why and returns ``None`` when the model is infeasible; the
-    commands then exit with status 2.
+    Prints why and returns ``None`` when the model is infeasible or the
+    protocol rejects the bound; the commands then exit with status 2.
     """
     spec = ModelSpec(
         *(
@@ -83,7 +83,19 @@ def _model(
         return spec, protocol_for(spec, args.bound)
     except InfeasibleSpecError as exc:
         print(f"infeasible model: {exc}")
-        return None
+    except ProtocolError as exc:
+        print(f"invalid bound: {exc}")
+    return None
+
+
+def population_size(text: str) -> int:
+    """Argparse type of ``-N``: a mobile population of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
@@ -111,12 +123,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec, protocol = model
     cell = table1_cell(spec)
     population = Population(args.n, protocol.requires_leader)
-    if spec.fairness is Fairness.WEAK:
-        scheduler = RoundRobinScheduler(
-            population, seed=args.seed, shuffle_each_cycle=True
-        )
-    else:
-        scheduler = RandomPairScheduler(population, seed=args.seed)
+    try:
+        if spec.fairness is Fairness.WEAK:
+            scheduler = RoundRobinScheduler(
+                population, seed=args.seed, shuffle_each_cycle=True
+            )
+        else:
+            scheduler = RandomPairScheduler(population, seed=args.seed)
+    except SchedulerError as exc:
+        print(f"invalid population: {exc}")
+        return 2
 
     rng = random.Random(args.seed)
     mobile_space = sorted(protocol.mobile_state_space())
@@ -202,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_flags(simulate)
     simulate.add_argument("--bound", "-P", type=int, default=8)
-    simulate.add_argument("--n", "-N", type=int, default=6)
+    simulate.add_argument("--n", "-N", type=population_size, default=6)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--budget", type=int, default=2_000_000)
     simulate.add_argument(

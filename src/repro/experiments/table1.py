@@ -23,12 +23,7 @@ import argparse
 from dataclasses import dataclass, field
 
 from repro.analysis.enumeration import search, symmetric_leaderless_protocols
-from repro.analysis.model_checker import check_naming_global
-from repro.analysis.reachability import (
-    arbitrary_initial_configurations,
-    uniform_initial_configurations,
-)
-from repro.analysis.weak_fairness import check_naming_weak
+from repro.analysis.symbolic import check_liveness, check_sinks
 from repro.core.global_naming import GlobalNamingProtocol
 from repro.core.registry import protocol_for
 from repro.core.spec import (
@@ -157,42 +152,50 @@ def _simulation_sizes(spec: ModelSpec, bound: int) -> list[int]:
     return sizes
 
 
-def _exact_check(spec: ModelSpec, evidence: list[str]) -> bool:
-    """Exact model checking of the cell at the small bound ``_CHECK_BOUND``."""
-    bound = _CHECK_BOUND
-    protocol = protocol_for(spec, bound)
-    check = (
-        check_naming_weak
-        if spec.fairness is Fairness.WEAK
-        else check_naming_global
-    )
-    sizes = [2, 3]
+def _check_sizes(spec: ModelSpec) -> list[int]:
+    """Population sizes of the exact check: ``N`` in {2, 3}, or {3} for
+    Proposition 13, whose protocol requires ``N > 2``."""
     if (
         spec.symmetry is Symmetry.SYMMETRIC
         and spec.fairness is Fairness.GLOBAL
         and spec.leader is not LeaderKind.INITIALIZED
     ):
-        sizes = [3]  # Proposition 13 requires N > 2
-    for n in sizes:
-        population = Population(n, protocol.requires_leader)
-        if spec.leader is LeaderKind.INITIALIZED:
-            leader_states = [protocol.initial_leader_state()]
-        else:
-            leader_states = None
-        if spec.mobile_init is MobileInit.UNIFORM:
-            initials = list(
-                uniform_initial_configurations(
-                    protocol, population, leader_states
-                )
-            )
-        else:
-            initials = list(
-                arbitrary_initial_configurations(
-                    protocol, population, leader_states
-                )
-            )
-        verdict = check(protocol, population, initials)
-        if not verdict.solves:
+        return [3]
+    return [2, 3]
+
+
+def _check_roots(spec: ModelSpec, protocol: PopulationProtocol) -> dict:
+    """The cell's initial configurations as root keywords of the
+    symbolic checkers: uniform or arbitrary mobile states, and an
+    initialized leader in its designated state (else any state)."""
+    return {
+        "mobile_mode": (
+            "uniform"
+            if spec.mobile_init is MobileInit.UNIFORM
+            else "arbitrary"
+        ),
+        "leader_states": (
+            [protocol.initial_leader_state()]
+            if spec.leader is LeaderKind.INITIALIZED
+            else None
+        ),
+    }
+
+
+def _exact_check(spec: ModelSpec, evidence: list[str]) -> bool:
+    """Exact model checking of the cell at the small bound ``_CHECK_BOUND``.
+
+    Agents are anonymous, so the counts quotient is exact: weak-fairness
+    cells are decided by :func:`~repro.analysis.symbolic.check_liveness`,
+    global ones by :func:`~repro.analysis.symbolic.check_sinks`.
+    """
+    bound = _CHECK_BOUND
+    protocol = protocol_for(spec, bound)
+    check = check_liveness if spec.fairness is Fairness.WEAK else check_sinks
+    roots = _check_roots(spec, protocol)
+    for n in _check_sizes(spec):
+        verdict = check(protocol, n, **roots)
+        if not verdict.holds:
             evidence.append(
                 f"exact {spec.fairness.value} check FAILED at "
                 f"P={bound}, N={n}: {verdict.reason}"
@@ -200,7 +203,7 @@ def _exact_check(spec: ModelSpec, evidence: list[str]) -> bool:
             return False
         evidence.append(
             f"exact {spec.fairness.value} check passed at P={bound}, N={n} "
-            f"({verdict.explored_nodes} configurations)"
+            f"({verdict.explored} count vectors)"
         )
     return True
 
@@ -405,12 +408,23 @@ def render_rows(rows: list[Table1Row], bound: int) -> str:
     )
 
 
+def name_bound(text: str) -> int:
+    """Argparse type of ``--bound``: at least 2, so that every simulated
+    population has two agents to schedule."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     """Regenerate Table 1 from the command line."""
     parser = argparse.ArgumentParser(
         description="Regenerate Table 1 of the paper."
     )
-    parser.add_argument("--bound", type=int, default=5, help="the bound P")
+    parser.add_argument(
+        "--bound", type=name_bound, default=5, help="the bound P (at least 2)"
+    )
     parser.add_argument("--seed", type=int, default=2018)
     parser.add_argument(
         "--budget", type=int, default=400_000, help="interactions per run"

@@ -55,6 +55,25 @@ class TestCheckCli:
         assert code == 2
         assert "check aborted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["-P", "0"], "invalid bound: the bound P must be"),
+            (["-P", "1"], "invalid bound: the bound P must be at least 2"),
+            (["-N", "0"], "argument --n/-N: must be a positive integer"),
+        ],
+        ids=["P0", "P1", "N0"],
+    )
+    def test_invalid_size_exits_2(self, capsys, flags, message):
+        try:
+            code = check_main(flags)
+        except SystemExit as exc:  # argparse rejects it at parse time
+            code = exc.code
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert message in out + err
+        assert "Traceback" not in out + err
+
     def test_json_output(self, capsys):
         assert check_main(["-P", "4", "-N", "3", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import symbolic as S
+from repro.analysis.enumeration import EnumLeaderState
 from repro.core.global_naming import GlobalNamingProtocol
 from repro.core.selfstab_naming import SelfStabilizingNamingProtocol
 from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
@@ -43,6 +44,35 @@ def funnel_swap_protocol():
             (1, 0): (0, 1),
         },
         mobile_states=[0, 1],
+    )
+
+
+class StartsAtZero(TableProtocol):
+    """A table protocol whose uniform start is mobile state 0."""
+
+    def initial_mobile_state(self):
+        return 0
+
+
+#: Parks at duplicates without being silent: from the uniform start
+#: (0, 0, 0) it reaches (3, 3, 0), where (0, 3) fires but (3, 0) is
+#: null, so a weakly fair scheduler meets every pair without moving.
+def parking_protocol():
+    return StartsAtZero(
+        {(0, 0): (3, 3), (0, 1): (0, 2), (0, 3): (1, 2), (2, 2): (3, 2)},
+        mobile_states=[0, 1, 2, 3],
+    )
+
+
+#: Parks through the leader: at (0, 0) with leader L0 only the
+#: leader-first meeting (L0, 0) fires, so a weakly fair scheduler that
+#: always meets that pair as (0, L0) keeps the duplicates forever.
+def leader_parking_protocol():
+    l0, l1 = EnumLeaderState(0), EnumLeaderState(1)
+    return StartsAtZero(
+        {(l0, 0): (l1, 1), (l1, 0): (l1, 2), (0, l1): (2, l1)},
+        mobile_states=[0, 1, 2],
+        leader_states=[l0, l1],
     )
 
 
@@ -215,6 +245,24 @@ class TestWitnessRoundTrip:
             swap_protocol(), 2, mobile_mode="arbitrary"
         )
         self.assert_fails(verdict, "weak-duplicates")
+
+    def test_one_way_null_pair_parks(self):
+        # The edge-free shortcut's test is null orientations, not
+        # silence: (3, 3, 0) is not silent, yet it hosts a weakly fair
+        # execution.
+        verdict = S.check_liveness(
+            parking_protocol(), 3, mobile_mode="uniform"
+        )
+        self.assert_fails(verdict, "weak-duplicates")
+        assert verdict.witness.final.states == (3, 3, 0)
+
+    def test_one_way_null_leader_pair_parks(self):
+        protocol = leader_parking_protocol()
+        roots = {"mobile_mode": "uniform", "leader_states": [EnumLeaderState(0)]}
+        verdict = S.check_liveness(protocol, 2, **roots)
+        self.assert_fails(verdict, "weak-duplicates")
+        assert verdict.witness.final.mobile_states == (0, 0)
+        assert S.check_sinks(protocol, 2, **roots).holds
 
     def test_sink_livelock(self):
         verdict = S.check_sinks(

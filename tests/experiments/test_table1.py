@@ -4,18 +4,32 @@ import warnings
 
 import pytest
 
+from repro.analysis.model_checker import check_naming_global
+from repro.analysis.reachability import (
+    arbitrary_initial_configurations,
+    uniform_initial_configurations,
+)
+from repro.analysis.symbolic import check_liveness, check_sinks
+from repro.analysis.weak_fairness import check_naming_weak
+from repro.core.registry import protocol_for
 from repro.core.spec import (
     Fairness,
     LeaderKind,
     MobileInit,
     ModelSpec,
     Symmetry,
+    all_specs,
     table1_cell,
 )
+from repro.engine.population import Population
 from repro.errors import BackendFallbackWarning
 from repro.experiments.table1 import (
+    _CHECK_BOUND,
     Table1Row,
+    _check_roots,
+    _check_sizes,
     _simulation_sizes,
+    main,
     render_rows,
     run_table1,
 )
@@ -59,9 +73,12 @@ class TestRegeneration:
         assert all(row.evidence for row in rows)
 
     def test_exact_checks_ran_for_feasible_cells(self, rows):
+        # One check per checked size, each on the counts quotient.
         for row in rows:
-            if row.expected.feasible:
-                assert any("exact" in item for item in row.evidence)
+            exact = [item for item in row.evidence if "exact" in item]
+            sizes = _check_sizes(row.spec) if row.expected.feasible else []
+            assert len(exact) == len(sizes)
+            assert all(item.endswith(" count vectors)") for item in exact)
 
     def test_fast_backend_rows_equal_reference_rows(self, rows, fast_rows):
         # Evidence strings included: the Prop. 1 adversary's run reports
@@ -116,3 +133,51 @@ class TestSimulationSizes:
         )
         sizes = _simulation_sizes(spec, 5)
         assert 2 in sizes and 5 in sizes
+
+
+def _exact_cases():
+    for spec in all_specs():
+        if table1_cell(spec).feasible:
+            for n in _check_sizes(spec):
+                yield pytest.param(spec, n, id=f"{spec.describe()}, N={n}")
+
+
+class TestExactCheckOracle:
+    """The labelled checkers stay the oracle of Table 1's exact evidence:
+    on the same roots, the symbolic verdict each cell uses must equal
+    the labelled one."""
+
+    @pytest.mark.parametrize("spec,n", list(_exact_cases()))
+    def test_symbolic_verdict_equals_labelled(self, spec, n):
+        protocol = protocol_for(spec, _CHECK_BOUND)
+        roots = _check_roots(spec, protocol)
+        population = Population(n, protocol.requires_leader)
+        enumerate_roots = (
+            uniform_initial_configurations
+            if roots["mobile_mode"] == "uniform"
+            else arbitrary_initial_configurations
+        )
+        initial = list(
+            enumerate_roots(protocol, population, roots["leader_states"])
+        )
+        if spec.fairness is Fairness.WEAK:
+            labelled = check_naming_weak(protocol, population, initial)
+            symbolic = check_liveness(protocol, n, **roots)
+        else:
+            labelled = check_naming_global(protocol, population, initial)
+            symbolic = check_sinks(protocol, n, **roots)
+        assert symbolic.holds == labelled.solves
+
+    def test_covers_all_forty_instances(self):
+        assert len(list(_exact_cases())) == 40
+
+
+class TestInvalidBound:
+    @pytest.mark.parametrize("bound", ["0", "1", "-3"])
+    def test_bound_below_two_is_a_usage_error(self, capsys, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(["--bound", bound])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"argument --bound: must be at least 2, got {bound}" in err
+        assert "Traceback" not in out + err

@@ -6,6 +6,8 @@ independent implementations are pitted against each other:
 * the labelled global-fairness checker vs. the symbolic sink check on
   the counts quotient - they were derived separately (vector SCCs vs.
   count-row SCCs) and must agree;
+* the labelled weak-fairness checker vs. the symbolic liveness check,
+  whose replayed witnesses must back every FAIL;
 * the weak-fairness checker vs. the counterexample synthesizer - whenever
   the checker says "fails", the synthesizer must produce a schedule that
   replays correctly, and whenever it says "solves", synthesis must fail.
@@ -20,7 +22,7 @@ from repro.analysis.counterexample import (
 )
 from repro.analysis.model_checker import check_naming_global
 from repro.analysis.reachability import arbitrary_initial_configurations
-from repro.analysis.symbolic import check_sinks
+from repro.analysis.symbolic import check_liveness, check_sinks
 from repro.analysis.weak_fairness import check_naming_weak
 from repro.engine.population import Population
 from repro.engine.protocol import TableProtocol
@@ -67,6 +69,29 @@ class TestLabelledVsQuotient:
         )
         quotient = check_sinks(protocol, 2, mobile_mode="arbitrary")
         assert labelled.solves == quotient.holds
+
+    @staticmethod
+    def assert_weak_agreement(protocol, n):
+        population = Population(n)
+        labelled = check_naming_weak(
+            protocol,
+            population,
+            arbitrary_initial_configurations(protocol, population),
+        )
+        quotient = check_liveness(protocol, n, mobile_mode="arbitrary")
+        assert labelled.solves == quotient.holds, protocol.table
+        if not quotient.holds:
+            assert quotient.replay_validated is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_protocols(), st.integers(min_value=2, max_value=3))
+    def test_weak_checkers_agree(self, protocol, n):
+        self.assert_weak_agreement(protocol, n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_protocols(num_states=3))
+    def test_weak_three_state_agreement(self, protocol):
+        self.assert_weak_agreement(protocol, 3)
 
 
 class TestWeakCheckerVsSynthesizer:

@@ -283,3 +283,49 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --jobs: must be a positive integer" in err
+
+
+def exit_status(argv):
+    """``main``'s exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestInvalidSizes:
+    """An invalid size is an invalid invocation: exit 2, not a traceback
+    (exit 1 would read as a failed run)."""
+
+    @pytest.mark.parametrize("command", ["show", "simulate"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["-P", "0"], ["-P", "1"], ["--symmetry", "asymmetric", "-P", "0"]],
+        ids=["P0", "P1-prop13", "P0-asymmetric"],
+    )
+    def test_invalid_bound(self, capsys, command, flags):
+        assert exit_status([command, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert "invalid bound: the bound P must be" in out
+        assert "Traceback" not in out + err
+
+    def test_empty_population_is_a_usage_error(self, capsys):
+        assert exit_status(["simulate", "-N", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert "argument --n/-N: must be a positive integer, got 0" in err
+        assert "Traceback" not in out + err
+
+    def test_unschedulable_population(self, capsys):
+        # One mobile agent and no leader: nobody to meet.
+        assert exit_status(["simulate", "-N", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert "invalid population: scheduling needs at least two" in out
+        assert "Traceback" not in out + err
+
+    def test_single_agent_with_a_leader_still_runs(self, capsys):
+        code = exit_status(
+            ["simulate", "--symmetry", "asymmetric", "--leader",
+             "initialized", "-P", "3", "-N", "1"]
+        )
+        assert code == 0
+        assert "converged" in capsys.readouterr().out
