@@ -48,8 +48,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
-from typing import Callable, Iterable, Sequence
+from itertools import chain, combinations_with_replacement, permutations
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -455,11 +455,10 @@ class CountsSystem:
         if mobile_mode == "uniform":
             designated = self.protocol.initial_mobile_state()
             values = [designated] if designated is not None else self.mobile
-            mobile_rows = []
-            for value in values:
-                row = np.zeros(self.M, dtype=np.int32)
-                row[self._mobile_index(value, "initial state")] = n_mobile
-                mobile_rows.append(row)
+            mobile_rows = np.zeros((len(values), self.M), dtype=np.int32)
+            for k, value in enumerate(values):
+                i = self._mobile_index(value, "initial state")
+                mobile_rows[k, i] = n_mobile
         elif mobile_mode == "arbitrary":
             count = _multiset_count(self.M, n_mobile)
             if max_roots is not None and count > max_roots:
@@ -467,18 +466,24 @@ class CountsSystem:
                     f"{count} initial count vectors exceed the root "
                     f"budget of {max_roots}"
                 )
-            mobile_rows = []
-            for combo in combinations_with_replacement(
-                range(self.M), n_mobile
-            ):
-                row = np.zeros(self.M, dtype=np.int32)
-                for i in combo:
-                    row[i] += 1
-                mobile_rows.append(row)
+            # One multiset per row, in combinations_with_replacement order.
+            members = np.fromiter(
+                chain.from_iterable(
+                    combinations_with_replacement(range(self.M), n_mobile)
+                ),
+                dtype=np.intp,
+                count=count * n_mobile,
+            )
+            mobile_rows = np.zeros((count, self.M), dtype=np.int32)
+            np.add.at(
+                mobile_rows,
+                (np.repeat(np.arange(count), n_mobile), members),
+                1,
+            )
         else:
             raise ValueError(f"unknown mobile_mode {mobile_mode!r}")
         if not self.has_leader:
-            roots = np.stack(mobile_rows)
+            roots = mobile_rows
         else:
             if leader_states is None:
                 # Mirror the explicit root conventions: arbitrary mobile
@@ -513,19 +518,20 @@ class CountsSystem:
                     leader_states = sorted(
                         self.protocol.leader_state_space(), key=sort_key
                     )
-            leader_idx = [self.leader_index(s) for s in leader_states]
-            if not leader_idx:
+            leader_idx = np.asarray(
+                [self.leader_index(s) for s in leader_states], dtype=np.int32
+            )
+            if not len(leader_idx):
                 raise VerificationError("no leader states to initialize from")
-            roots = np.zeros(
+            # Every mobile row with every leader, mobile-major.
+            roots = np.empty(
                 (len(mobile_rows) * len(leader_idx), self.width),
                 dtype=np.int32,
             )
-            k = 0
-            for mrow in mobile_rows:
-                for li in leader_idx:
-                    roots[k, : self.M] = mrow
-                    roots[k, self.M] = li
-                    k += 1
+            roots[:, : self.M] = np.repeat(
+                mobile_rows, len(leader_idx), axis=0
+            )
+            roots[:, self.M] = np.tile(leader_idx, len(mobile_rows))
         if max_roots is not None and len(roots) > max_roots:
             raise VerificationError(
                 f"{len(roots)} initial count vectors exceed the root "
@@ -550,26 +556,35 @@ def _multiset_count(m: int, n: int) -> int:
 class ReachSet:
     """The reachable fragment of the counts quotient.
 
-    ``rows[k]`` is node ``k``'s count row; ``index`` maps packed rows to
-    node ids.  ``pred``/``pred_rule`` form the BFS predecessor forest
-    (roots carry ``-1``), from which :func:`path_to` extracts shortest
-    witness paths.  When the reach ran with ``track_edges=True`` the
-    full edge relation is kept for SCC/liveness analysis.
+    ``levels`` holds the count rows of each BFS level as one matrix, in
+    node-id order, and :attr:`rows` stacks them (node ``k`` is
+    ``rows[k]``); ``index`` maps packed rows to node ids.
+    ``pred``/``pred_rule`` form the BFS predecessor forest (roots carry
+    ``-1``), from which :func:`path_to` extracts shortest witness paths.
+    When the reach ran with ``track_edges=True`` the full edge relation
+    is kept as ``int64`` arrays for SCC/liveness analysis.
     """
 
     system: CountsSystem
-    rows: list[np.ndarray]
+    levels: list[np.ndarray]
     index: dict[bytes, int]
     n_roots: int
     pred: list[int]
     pred_rule: list[int]
-    edges_src: list[int] | None = None
-    edges_dst: list[int] | None = None
-    edges_rule: list[int] | None = None
+    edges_src: np.ndarray | None = None
+    edges_dst: np.ndarray | None = None
+    edges_rule: np.ndarray | None = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Every node's count row; the levels are stacked on first use."""
+        if len(self.levels) > 1:
+            self.levels = [np.concatenate(self.levels)]
+        return self.levels[0]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.rows)
+        return len(self.pred)
 
     @property
     def n_edges(self) -> int:
@@ -590,6 +605,67 @@ class ReachSet:
         return here, rids
 
 
+def _intern(
+    index: dict[bytes, int], keys: list[bytes], max_nodes: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Give the unseen ``keys`` node ids in order of first appearance.
+
+    Returns the node id of every key and the positions of the first
+    occurrence of each new id, in id order.  Raises
+    :class:`VerificationError` when the new ids would take the node
+    count past ``max_nodes``.
+    """
+    base = len(index)
+    fresh = [k for k in dict.fromkeys(keys) if k not in index]
+    if fresh and max_nodes is not None and base + len(fresh) > max_nodes:
+        raise VerificationError(
+            f"symbolic frontier exceeded {max_nodes} nodes; use a smaller "
+            "instance"
+        )
+    index.update(zip(fresh, range(base, base + len(fresh))))
+    ids = np.fromiter(
+        map(index.__getitem__, keys), dtype=np.int64, count=len(keys)
+    )
+    new = np.flatnonzero(ids >= base)
+    if len(new) > len(fresh):  # a new key repeats: keep its first place
+        new = new[np.unique(ids[new], return_index=True)[1]]
+    return ids, new
+
+
+def _successor_batches(
+    system: CountsSystem, level: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """``(source rows, successor rows, rule id)`` for each rule enabled
+    somewhere in ``level``: mobile-mobile rules first, then the leader
+    rules bucketed by the level's leader values in increasing order."""
+    M = system.M
+    batches = []
+    for t in range(len(system._mm_rid)):
+        i = system._mm_i[t]
+        j = system._mm_j[t]
+        if i == j:
+            mask = level[:, i] >= 2
+        else:
+            mask = (level[:, i] >= 1) & (level[:, j] >= 1)
+        src = np.flatnonzero(mask)
+        if len(src):
+            succ = level[src] + system._mm_delta[t]
+            batches.append((src, succ, int(system._mm_rid[t])))
+    if system.has_leader:
+        lv = level[:, M]
+        for li in np.unique(lv):
+            sel = np.flatnonzero(lv == li)
+            group = system.leader_group(int(li))
+            for g in range(len(group.rid)):
+                src = sel[level[sel, group.s[g]] >= 1]
+                if not len(src):
+                    continue
+                succ = level[src] + group.delta[g]
+                succ[:, M] = group.post[g]
+                batches.append((src, succ, int(group.rid[g])))
+    return batches
+
+
 def reach(
     system: CountsSystem,
     roots: np.ndarray,
@@ -599,92 +675,56 @@ def reach(
     """Breadth-first frontier fixpoint over the counts quotient.
 
     Successors are generated rule-batched: each compiled rule applies
-    its guard mask and delta row to the whole frontier block at once;
-    only the per-successor dedup against the visited set runs at Python
-    speed.  Raises :class:`VerificationError` when the reachable set
-    exceeds ``max_nodes``.
+    its guard mask and delta row to the whole frontier level at once,
+    and each batch is deduplicated against the visited set with dict
+    operations on its packed rows.  New nodes are numbered in order of
+    first appearance, batch by batch.  Raises :class:`VerificationError`
+    when the reachable set exceeds ``max_nodes``.
     """
+    roots = np.ascontiguousarray(roots, dtype=np.int32)
+    packed = np.dtype((np.void, roots.itemsize * system.width))
+
+    def keys_of(block: np.ndarray) -> list[bytes]:
+        return block.view(packed).ravel().tolist()
+
+    index: dict[bytes, int] = {}
+    _, first = _intern(index, keys_of(roots), None)
+    if not len(first):
+        raise VerificationError("no initial count vectors supplied")
+    level = roots[first]
     rs = ReachSet(
         system=system,
-        rows=[],
-        index={},
-        n_roots=0,
-        pred=[],
-        pred_rule=[],
-        edges_src=[] if track_edges else None,
-        edges_dst=[] if track_edges else None,
-        edges_rule=[] if track_edges else None,
+        levels=[level],
+        index=index,
+        n_roots=len(level),
+        pred=[-1] * len(level),
+        pred_rule=[-1] * len(level),
     )
-    frontier: list[int] = []
-    for row in np.asarray(roots, dtype=np.int32):
-        key = row.tobytes()
-        if key not in rs.index:
-            node = len(rs.rows)
-            rs.index[key] = node
-            rs.rows.append(row.copy())
-            rs.pred.append(-1)
-            rs.pred_rule.append(-1)
-            frontier.append(node)
-    rs.n_roots = len(rs.rows)
-    if not rs.rows:
-        raise VerificationError("no initial count vectors supplied")
-
-    M = system.M
-    while frontier:
-        F = np.stack([rs.rows[k] for k in frontier])
-        batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        # Mobile-mobile rules over the whole frontier block.
-        for t in range(len(system._mm_rid)):
-            i = system._mm_i[t]
-            j = system._mm_j[t]
-            if i == j:
-                mask = F[:, i] >= 2
-            else:
-                mask = (F[:, i] >= 1) & (F[:, j] >= 1)
-            src_local = np.nonzero(mask)[0]
-            if not len(src_local):
-                continue
-            succ = F[src_local] + system._mm_delta[t]
-            rid = np.full(len(src_local), system._mm_rid[t], dtype=np.int64)
-            batches.append((src_local, succ, rid))
-        # Leader-mobile rules, bucketed by the frontier's leader values.
-        if system.has_leader:
-            lv = F[:, M]
-            for li in np.unique(lv):
-                sel = np.nonzero(lv == li)[0]
-                group = system.leader_group(int(li))
-                for g in range(len(group.rid)):
-                    mask = F[sel, group.s[g]] >= 1
-                    src_local = sel[mask]
-                    if not len(src_local):
-                        continue
-                    succ = F[src_local] + group.delta[g]
-                    succ[:, M] = group.post[g]
-                    rid = np.full(len(src_local), group.rid[g], dtype=np.int64)
-                    batches.append((src_local, succ, rid))
-        next_frontier: list[int] = []
-        for src_local, succ, rid in batches:
-            for n in range(len(src_local)):
-                key = succ[n].tobytes()
-                src = frontier[src_local[n]]
-                tgt = rs.index.get(key)
-                if tgt is None:
-                    if len(rs.rows) >= max_nodes:
-                        raise VerificationError(
-                            f"symbolic frontier exceeded {max_nodes} "
-                            "nodes; use a smaller instance"
-                        )
-                    tgt = len(rs.rows)
-                    rs.index[key] = tgt
-                    rs.rows.append(succ[n].copy())
-                    rs.pred.append(src)
-                    rs.pred_rule.append(int(rid[n]))
-                    next_frontier.append(tgt)
-                if track_edges:
-                    rs.edges_src.append(src)
-                    rs.edges_dst.append(tgt)
-                    rs.edges_rule.append(int(rid[n]))
-        frontier = next_frontier
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    start = 0  # node id of the level's first row
+    while True:
+        fresh: list[np.ndarray] = []
+        # All of a level's batches are built before any is interned, so
+        # an error compiling its leader rules comes before the node cap.
+        for src_local, succ, rid in _successor_batches(system, level):
+            tgt, new = _intern(index, keys_of(succ), max_nodes)
+            src = src_local + start
+            if len(new):
+                fresh.append(succ[new])
+                rs.pred.extend(src[new].tolist())
+                rs.pred_rule.extend([rid] * len(new))
+            if track_edges:
+                edges.append((src, tgt, np.full(len(tgt), rid, np.int64)))
+        if not fresh:
+            break
+        start += len(level)
+        level = np.concatenate(fresh)
+        rs.levels.append(level)
+    if track_edges:
+        parts = list(zip(*edges)) or [[np.zeros(0, dtype=np.int64)]] * 3
+        rs.edges_src, rs.edges_dst, rs.edges_rule = (
+            np.concatenate(part) for part in parts
+        )
     return rs
 
 
@@ -693,15 +733,10 @@ def reach(
 # ----------------------------------------------------------------------
 
 
-def node_matrix(rs: ReachSet) -> np.ndarray:
-    """All reached count rows stacked as one matrix."""
-    return np.stack(rs.rows)
-
-
 def silent_mask(rs: ReachSet) -> np.ndarray:
     """Per-node: no non-null interaction is enabled (silence)."""
     system = rs.system
-    N = node_matrix(rs)
+    N = rs.rows
     enabled = np.zeros(len(N), dtype=bool)
     for t in range(len(system._mm_rid)):
         i = system._mm_i[t]
@@ -724,9 +759,12 @@ def silent_mask(rs: ReachSet) -> np.ndarray:
 
 def duplicate_mask(rs: ReachSet) -> np.ndarray:
     """Per-node: two mobile agents share a projected name."""
-    N = node_matrix(rs)
-    name_counts = N[:, : rs.system.M] @ rs.system.name_matrix
-    return (name_counts >= 2).any(axis=1)
+    counts = rs.rows[:, : rs.system.M]
+    names = rs.system.name_matrix
+    if names.shape[1] == names.shape[0]:
+        # An injective projection only permutes the count columns.
+        return (counts >= 2).any(axis=1)
+    return ((counts @ names) >= 2).any(axis=1)
 
 
 def parking_mask(rs: ReachSet) -> np.ndarray:
@@ -741,7 +779,7 @@ def parking_mask(rs: ReachSet) -> np.ndarray:
     """
     system = rs.system
     M = system.M
-    N = node_matrix(rs)
+    N = rs.rows
     counts = N[:, :M]
     present = counts >= 1
     blocked = ~(system._mm_null | system._mm_null.T)
@@ -764,25 +802,19 @@ def parking_mask(rs: ReachSet) -> np.ndarray:
 
 
 def _adjacency(
-    n_nodes: int, edges_src: Sequence[int], edges_dst: Sequence[int]
+    n_nodes: int, edges_src: np.ndarray, edges_dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicated CSR adjacency (offsets, targets)."""
-    if not len(edges_src):
-        return np.zeros(n_nodes + 1, dtype=np.int64), np.zeros(
-            0, dtype=np.int64
-        )
-    pairs = np.stack(
-        [
-            np.asarray(edges_src, dtype=np.int64),
-            np.asarray(edges_dst, dtype=np.int64),
-        ],
-        axis=1,
+    """Deduplicated CSR adjacency (offsets, targets), each node's
+    targets in increasing order."""
+    keys = np.unique(
+        np.asarray(edges_src, dtype=np.int64) * n_nodes
+        + np.asarray(edges_dst, dtype=np.int64)
     )
-    pairs = np.unique(pairs, axis=0)
     offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.add.at(offsets, pairs[:, 0] + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    return offsets, pairs[:, 1].copy()
+    np.cumsum(
+        np.bincount(keys // n_nodes, minlength=n_nodes), out=offsets[1:]
+    )
+    return offsets, keys % n_nodes
 
 
 def symbolic_sccs(rs: ReachSet) -> list[list[int]]:
@@ -793,7 +825,7 @@ def symbolic_sccs(rs: ReachSet) -> list[list[int]]:
     of :func:`~repro.analysis.model_checker.strongly_connected_components`
     (each component before any that reaches it) is deterministic.
     """
-    if rs.edges_src is None:
+    if rs.edges_src is None or rs.edges_dst is None:
         raise VerificationError(
             "SCC analysis needs a reach with track_edges=True"
         )

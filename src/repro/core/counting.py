@@ -97,6 +97,7 @@ class CountingProtocol(PopulationProtocol):
             raise ProtocolError(f"the bound P must be positive, got {bound}")
         self.bound = bound
         self._mobile = frozenset(range(bound))
+        self._leaders: frozenset[State] | None = None
 
     # -- state spaces ---------------------------------------------------
 
@@ -106,13 +107,18 @@ class CountingProtocol(PopulationProtocol):
     def leader_state_space(self) -> frozenset[State]:
         """Reachable BST states: ``n`` in ``[0, P]``, ``k`` in
         ``[0, 2^{P-1}]``.  Exponential in ``P``; enumerate only for small
-        bounds (verification and model checking)."""
-        k_max = sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
-        return frozenset(
-            CountingLeaderState(n, k)
-            for n in range(self.bound + 1)
-            for k in range(k_max + 1)
-        )
+        bounds (verification and model checking).  Built once per
+        instance."""
+        if self._leaders is None:
+            k_max = (
+                sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
+            )
+            self._leaders = frozenset(
+                CountingLeaderState(n, k)
+                for n in range(self.bound + 1)
+                for k in range(k_max + 1)
+            )
+        return self._leaders
 
     def leader_space_size(self) -> int:
         """``(P + 1) * (k_max + 1)`` in closed form (no enumeration)."""

@@ -58,6 +58,7 @@ class GlobalNamingProtocol(PopulationProtocol):
             raise ProtocolError(f"the bound P must be positive, got {bound}")
         self.bound = bound
         self._mobile = frozenset(range(bound))
+        self._leaders: frozenset[State] | None = None
 
     # -- state spaces ---------------------------------------------------
 
@@ -66,14 +67,18 @@ class GlobalNamingProtocol(PopulationProtocol):
 
     def leader_state_space(self) -> frozenset[State]:
         """Reachable BST states.  Exponential in ``P``; enumerate only for
-        small bounds."""
-        k_max = sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
-        return frozenset(
-            GlobalLeaderState(n, k, ptr)
-            for n in range(self.bound + 1)
-            for k in range(k_max + 1)
-            for ptr in range(self.bound + 1)
-        )
+        small bounds.  Built once per instance."""
+        if self._leaders is None:
+            k_max = (
+                sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
+            )
+            self._leaders = frozenset(
+                GlobalLeaderState(n, k, ptr)
+                for n in range(self.bound + 1)
+                for k in range(k_max + 1)
+                for ptr in range(self.bound + 1)
+            )
+        return self._leaders
 
     def leader_space_size(self) -> int:
         """``(P + 1)^2 * (k_max + 1)`` in closed form (no enumeration)."""

@@ -60,6 +60,7 @@ class SelfStabilizingNamingProtocol(PopulationProtocol):
             raise ProtocolError(f"the bound P must be positive, got {bound}")
         self.bound = bound
         self._mobile = frozenset(range(bound + 1))
+        self._leaders: frozenset[State] | None = None
 
     # -- state spaces ---------------------------------------------------
 
@@ -68,13 +69,16 @@ class SelfStabilizingNamingProtocol(PopulationProtocol):
 
     def leader_state_space(self) -> frozenset[State]:
         """All legal BST states (any may occur initially).  Exponential in
-        ``P``; enumerate only for small bounds."""
-        k_max = sequence_length(self.bound) + 1
-        return frozenset(
-            SelfStabLeaderState(n, k)
-            for n in range(self.bound + 2)
-            for k in range(k_max + 1)
-        )
+        ``P``; enumerate only for small bounds.  Built once per
+        instance."""
+        if self._leaders is None:
+            k_max = sequence_length(self.bound) + 1
+            self._leaders = frozenset(
+                SelfStabLeaderState(n, k)
+                for n in range(self.bound + 2)
+                for k in range(k_max + 1)
+            )
+        return self._leaders
 
     def leader_space_size(self) -> int:
         """``(P + 2) * (l_P + 2)`` in closed form (no enumeration)."""

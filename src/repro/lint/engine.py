@@ -5,10 +5,11 @@ cell at each requested bound, instantiates the registered protocol via
 :func:`repro.core.registry.protocol_for`, and runs every selected rule on
 it.  Protocol-scope rules (closure, symmetry, reachability) depend only
 on the protocol instance, which the registry shares across several
-cells, so their findings are cached per ``(protocol type, display name,
-bound, rule)`` and emitted once.  Infeasible cells are checked too: the
-registry must *refuse* to build a protocol there (the paper's
-impossibility result), and a protocol coming back anyway is an error.
+cells, so they run once per ``(protocol type, display name, bound)``,
+all on the context of its first cell, and their findings are emitted
+once.  Infeasible cells are checked too: the registry must *refuse* to
+build a protocol there (the paper's impossibility result), and a
+protocol coming back anyway is an error.
 
 :func:`lint_protocol` audits one protocol outside the sweep - the entry
 point for linting hand-built :class:`~repro.engine.protocol.TableProtocol`
@@ -63,14 +64,15 @@ def lint_protocol(
     discipline, sink discipline) run against that Table 1 cell;
     without them they restrict to their spec-independent checks.
     """
+    selected = select_rules(rules)
     ctx = LintContext(
         protocol=protocol,
         spec=spec,
         bound=bound,
         cell=table1_cell(spec) if spec is not None else None,
         budgets=budgets if budgets is not None else LintBudgets(),
+        rule_ids=frozenset(r.id for r in selected),
     )
-    selected = select_rules(rules)
     report = LintReport(
         protocols_checked=1,
         bounds=(bound,) if bound is not None else (),
@@ -140,6 +142,7 @@ def run_lint(
     bounds = tuple(bounds)
     budgets = budgets if budgets is not None else LintBudgets()
     selected = select_rules(rules)
+    rule_ids = frozenset(r.id for r in selected)
     spec_list = list(specs) if specs is not None else list(all_specs())
     report = LintReport(
         bounds=bounds, rules_run=tuple(r.id for r in selected)
@@ -181,6 +184,7 @@ def run_lint(
                 bound=bound,
                 cell=cell,
                 budgets=budgets,
+                rule_ids=rule_ids,
             )
             identity = (type(protocol).__name__, protocol.display_name, bound)
             if identity not in protocols_seen:

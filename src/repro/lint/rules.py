@@ -8,14 +8,20 @@ of two scopes:
 
 ``protocol``
     Depends only on the protocol instance - closure, symmetry of the
-    actual table, reachability.  The engine caches these per (protocol,
-    bound) so a protocol serving several Table 1 cells is analyzed once.
+    actual table, reachability.  The engine runs these once per
+    (protocol, bound), on one context, so a protocol serving several
+    Table 1 cells is analyzed once.  ``closure`` and ``symmetry`` read
+    one :func:`~repro.engine.protocol.audit_pairs` pass, computed at
+    most once per context, which evaluates each schedulable ordered
+    state pair once for both.
 ``spec``
     Compares the protocol against its model specification - the Table 1
     state budget, role/claim conformance, the Section 3.1 sink
     discipline.  Cheap, run per cell.
 
-Rules report findings; they never raise on a bad protocol.  Exhaustive
+Rules report findings; they never raise on a bad protocol.  A transition
+that raises is reported by ``closure`` (the first raising pair); every
+other rule whose analysis it cuts short reports nothing.  Exhaustive
 sub-analyses run through a ladder: the symbolic counts-quotient engine
 (:mod:`repro.analysis.symbolic`) first, the explicit labelled
 enumeration as a fallback, and only when both exceed their
@@ -46,10 +52,10 @@ from repro.core.spec import CellResult, LeaderKind, ModelSpec, Symmetry
 from repro.engine.population import Population
 from repro.engine.problems import is_silent
 from repro.engine.protocol import (
+    PairAudit,
     PopulationProtocol,
     TableProtocol,
-    _state_pairs,
-    asymmetric_witnesses,
+    audit_pairs,
 )
 from repro.engine.state import State, is_leader_state
 from repro.errors import VerificationError
@@ -96,6 +102,28 @@ class LintContext:
     bound: int | None = None
     cell: CellResult | None = None
     budgets: LintBudgets = field(default_factory=LintBudgets)
+    #: Ids of the rules that will run on this context (``None``: all);
+    #: the pair audit runs only the scans they read.
+    rule_ids: frozenset[str] | None = None
+    _audit: PairAudit | None = field(default=None, init=False, repr=False)
+
+    def pair_audit(self) -> PairAudit:
+        """The ``closure``/``symmetry`` pair audit, computed once."""
+        if self._audit is None:
+
+            def wanted(rule_id: str) -> bool:
+                return self.rule_ids is None or rule_id in self.rule_ids
+
+            self._audit = audit_pairs(
+                self.protocol,
+                leak_limit=WITNESS_LIMIT if wanted("closure") else 0,
+                asym_limit=(
+                    (WITNESS_LIMIT if self.protocol.symmetric else 1)
+                    if wanted("symmetry")
+                    else 0
+                ),
+            )
+        return self._audit
 
     def diag(
         self,
@@ -161,41 +189,27 @@ def _fmt_state(state: State) -> str:
 )
 def check_closure(ctx: LintContext) -> list[Diagnostic]:
     """Every transition stays in-space and preserves roles."""
-    protocol = ctx.protocol
-    mobile = protocol.mobile_state_space()
-    leader = protocol.leader_state_space()
-    witnesses: list = []
-    for p, q in _state_pairs(protocol):
-        try:
-            p2, q2 = protocol.transition(p, q)
-        except Exception as exc:
-            return [
-                ctx.diag(
-                    "closure",
-                    Severity.ERROR,
-                    f"transition({p!r}, {q!r}) raised {exc!r}",
-                    witness=[_fmt_state(p), _fmt_state(q)],
-                )
-            ]
-        for before, after in ((p, p2), (q, q2)):
-            leaky = (
-                after not in leader
-                if is_leader_state(before)
-                else after not in mobile
+    audit = ctx.pair_audit()
+    if audit.raised is not None:
+        p, q, exc = audit.raised
+        return [
+            ctx.diag(
+                "closure",
+                Severity.ERROR,
+                f"transition({p!r}, {q!r}) raised {exc!r}",
+                witness=[_fmt_state(p), _fmt_state(q)],
             )
-            if leaky:
-                witnesses.append(
-                    {
-                        "pair": [_fmt_state(p), _fmt_state(q)],
-                        "result": [_fmt_state(p2), _fmt_state(q2)],
-                        "escaped": _fmt_state(after),
-                    }
-                )
-                break
-        if len(witnesses) >= WITNESS_LIMIT:
-            break
-    if not witnesses:
+        ]
+    if not audit.leaks:
         return []
+    witnesses = [
+        {
+            "pair": [_fmt_state(s) for s in leak.pair],
+            "result": [_fmt_state(s) for s in leak.result],
+            "escaped": _fmt_state(leak.after),
+        }
+        for leak in audit.leaks
+    ]
     return [
         ctx.diag(
             "closure",
@@ -217,10 +231,10 @@ def check_closure(ctx: LintContext) -> list[Diagnostic]:
 def check_symmetry(ctx: LintContext) -> list[Diagnostic]:
     """The symmetry declaration matches the table, both ways."""
     protocol = ctx.protocol
-    witnesses = asymmetric_witnesses(
-        protocol,
-        limit=WITNESS_LIMIT if protocol.symmetric else 1,
-    )
+    audit = ctx.pair_audit()
+    witnesses = audit.asymmetric
+    if audit.asymmetry_raised is not None and not witnesses:
+        return []  # a raising transition cut the scan; `closure` reports it
     if protocol.symmetric and witnesses:
         rendered = []
         for p, q in witnesses[:WITNESS_LIMIT]:
@@ -287,7 +301,10 @@ def check_reachable_states(ctx: LintContext) -> list[Diagnostic]:
                 skipped_budget="max_closure_states",
             )
         ]
-    closure = _state_closure(protocol)
+    try:
+        closure = _state_closure(protocol)
+    except Exception:
+        return []  # a raising transition; `closure` reports it
     if closure is None:
         return []  # escaped the declared spaces; `closure` rule reports it
     mobiles_reached, _leaders_reached = closure
@@ -327,7 +344,10 @@ def check_dead_table_entries(ctx: LintContext) -> list[Diagnostic]:
     dead: list[dict] = []
     closure = None
     if len(known) <= ctx.budgets.max_closure_states:
-        closure = _state_closure(protocol)
+        try:
+            closure = _state_closure(protocol)
+        except Exception:
+            pass  # a raising transition; `closure` reports it
     for (p, q), (p2, q2) in protocol.table.items():
         entry = {
             "pair": [_fmt_state(p), _fmt_state(q)],
@@ -397,6 +417,8 @@ def check_silent_configs_named(ctx: LintContext) -> list[Diagnostic]:
         )
     except VerificationError:
         pass  # out of budget or not quotient-compilable; go explicit
+    except Exception:
+        return []  # a raising transition; `closure` reports it
     else:
         if verdict.holds:
             return []
@@ -468,6 +490,8 @@ def check_silent_configs_named(ctx: LintContext) -> list[Diagnostic]:
                 skipped_budget="max_reach_nodes",
             )
         ]
+    except Exception:
+        return []  # a raising transition; `closure` reports it
     colliding: list[list[str]] = []
     for config in graph.nodes:
         if not is_silent(protocol, config):
@@ -651,6 +675,8 @@ def check_sink_discipline(ctx: LintContext) -> list[Diagnostic]:
                 f"Proposition 6 violated: {exc}",
             )
         ]
+    except Exception:
+        return []  # a raising transition; `closure` reports it
     return []
 
 
@@ -711,6 +737,8 @@ def check_weak_liveness(ctx: LintContext) -> list[Diagnostic]:
                 skipped_budget="max_reach_nodes",
             )
         ]
+    except Exception:
+        return []  # a raising transition; `closure` reports it
     if verdict.holds:
         return []
     witness = verdict.witness

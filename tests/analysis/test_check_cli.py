@@ -124,3 +124,75 @@ class TestCachedCheck:
             SymmetricGlobalNamingProtocol(3), "reach", 3, cache=None
         )
         assert verdict.holds
+
+
+#: The four P = 32 cells of CI's ``check`` job: flags, then per verdict
+#: (property, explored count vectors, edges, details).  Every verdict
+#: holds.
+CI_CELLS = {
+    "prop13": (
+        ["--fairness", "global", "--symmetry", "symmetric",
+         "--leader", "none"],
+        [
+            ("reach", 6545, 0, {"roots": 6545}),
+            ("sinks", 6545, 3201, {
+                "roots": 6545,
+                "sink_sccs": 4960,
+                "unique_sink_violation": (
+                    "symmetric leaderless naming (Prop. 13): expected a "
+                    "unique sink state, found [1, 32]"
+                ),
+            }),
+        ],
+    ),
+    "prop16": (
+        ["--fairness", "weak", "--symmetry", "symmetric",
+         "--leader", "initialized"],
+        [
+            ("reach", 7254, 0, {"roots": 6545}),
+            ("sinks", 7254, 40664,
+             {"roots": 6545, "sink_sccs": 4, "unique_sink": "0"}),
+            ("liveness", 7254, 40664,
+             {"roots": 6545, "candidates_checked": 1202}),
+        ],
+    ),
+    "prop12": (
+        ["--fairness", "global", "--symmetry", "asymmetric",
+         "--leader", "none"],
+        [
+            ("reach", 5984, 0, {"roots": 5984}),
+            ("sinks", 5984, 1024, {"roots": 5984, "sink_sccs": 4960}),
+        ],
+    ),
+    "prop12-weak": (
+        ["--fairness", "weak", "--symmetry", "asymmetric",
+         "--leader", "none"],
+        [
+            ("reach", 5984, 0, {"roots": 5984}),
+            ("sinks", 5984, 1024, {"roots": 5984, "sink_sccs": 4960}),
+            ("liveness", 5984, 1024,
+             {"roots": 5984, "candidates_checked": 1024}),
+        ],
+    ),
+}
+
+
+class TestCiCells:
+    """``repro check --json`` on CI's P = 32 cells, pinned verdict by
+    verdict."""
+
+    @pytest.mark.parametrize("cell", sorted(CI_CELLS))
+    def test_verdicts_pinned(self, capsys, cell):
+        flags, expected = CI_CELLS[cell]
+        code = check_main(
+            flags + ["--init", "arbitrary", "-P", "32", "-N", "3", "--json"]
+        )
+        assert code == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert [
+            (v["prop"], v["holds"], v["explored"], v["edges"], v["details"])
+            for v in verdicts
+        ] == [
+            (prop, True, explored, edges, details)
+            for prop, explored, edges, details in expected
+        ]

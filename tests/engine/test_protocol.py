@@ -102,6 +102,17 @@ class TestStateSpaceDeclarations:
         assert protocol.mobile_state_space() <= combined
         assert protocol.leader_state_space() <= combined
 
+    @pytest.mark.parametrize(
+        "cls",
+        [CountingProtocol, SelfStabilizingNamingProtocol, GlobalNamingProtocol],
+    )
+    def test_leader_space_built_once_per_instance(self, cls):
+        protocol = cls(4)
+        space = protocol.leader_state_space()
+        assert protocol.leader_state_space() is space
+        assert len(space) == protocol.leader_space_size()
+        assert cls(4).leader_state_space() == space
+
 
 class TestIsNull:
     def test_null_detection(self):

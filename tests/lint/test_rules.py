@@ -15,6 +15,7 @@ from repro.core.spec import (
 )
 from repro.engine.protocol import TableProtocol
 from repro.lint import LintBudgets, Severity, lint_protocol
+from tests.property.tables import Boss
 
 
 def by_rule(report, rule_id):
@@ -343,3 +344,94 @@ class TestRuleSelection:
     def test_unknown_rule_raises(self):
         with pytest.raises(ValueError, match="unknown lint rule"):
             lint_protocol(AsymmetricNamingProtocol(3), rules=["bogus"])
+
+
+class RaisingTableProtocol(TableProtocol):
+    """A two-state table protocol whose ``transition(1, 0)`` raises."""
+
+    def transition(self, p, q):
+        if (p, q) == (1, 0):
+            raise RuntimeError("no rule for (1, 0)")
+        return super().transition(p, q)
+
+
+class TestRaisingTransition:
+    """No rule raises on a raising transition; ``closure`` reports it."""
+
+    @staticmethod
+    def protocol():
+        return RaisingTableProtocol(
+            {}, mobile_states=[0, 1], symmetric=True, display_name="raising"
+        )
+
+    @staticmethod
+    def assert_only_the_raise(report):
+        (diag,) = report.diagnostics
+        assert diag.rule == "closure"
+        assert diag.severity is Severity.ERROR
+        assert diag.message == (
+            "transition(1, 0) raised RuntimeError('no rule for (1, 0)')"
+        )
+        assert diag.witness == ["1", "0"]
+
+    def test_closure_alone_reports_the_raising_pair(self):
+        self.assert_only_the_raise(
+            lint_protocol(self.protocol(), rules=["closure"])
+        )
+
+    @pytest.mark.parametrize(
+        "rule_id",
+        [
+            "symmetry",
+            "reachable-states",
+            "dead-table-entries",
+            "silent-configs-named",
+        ],
+    )
+    def test_other_rules_alone_report_nothing(self, rule_id):
+        report = lint_protocol(self.protocol(), rules=[rule_id])
+        assert report.diagnostics == []
+
+    def test_all_rules_report_only_the_raise(self):
+        self.assert_only_the_raise(lint_protocol(self.protocol()))
+
+    def test_spec_rules_do_not_raise(self):
+        # sink-discipline and weak-liveness run their analyses under
+        # this spec.  Both states are null homonym self-loops, so the
+        # two sinks violate Proposition 6 whatever (1, 0) does.
+        report = lint_protocol(self.protocol(), spec=WEAK_SYM_LEADER)
+        closure, sink = report.diagnostics
+        assert closure.rule == "closure"
+        assert closure.message.startswith("transition(1, 0) raised")
+        assert sink.rule == "sink-discipline"
+        assert "expected a unique sink state, found [0, 1]" in sink.message
+
+
+class CountingTableProtocol(TableProtocol):
+    """A table protocol that counts its ``transition`` calls."""
+
+    calls = 0
+
+    def transition(self, p, q):
+        self.calls += 1
+        return super().transition(p, q)
+
+
+class TestPairAudit:
+    def test_closure_and_symmetry_evaluate_each_pair_once(self):
+        # Closed and symmetric, so both scans run to the end: 3 x 3
+        # mobile pairs and 2 x 3 leader pairs.
+        leader = Boss(0)
+        protocol = CountingTableProtocol(
+            {
+                (1, 1): (0, 0),
+                (leader, 2): (leader, 0),
+                (2, leader): (0, leader),
+            },
+            mobile_states=[0, 1, 2],
+            leader_states=[leader],
+            symmetric=True,
+        )
+        report = lint_protocol(protocol, rules=["closure", "symmetry"])
+        assert report.diagnostics == []
+        assert protocol.calls == 9 + 6
