@@ -42,7 +42,8 @@ class ConfigurationGraph:
 
     population: Population
     nodes: set[Configuration] = field(default_factory=set)
-    #: Outgoing non-null edges per node.  Null self-loops are implicit:
+    #: Outgoing non-null edges per node, one key per explored node in
+    #: breadth-first discovery order.  Null self-loops are implicit:
     #: every configuration can always repeat a null interaction.
     edges: dict[Configuration, list[Edge]] = field(default_factory=dict)
     initial: set[Configuration] = field(default_factory=set)

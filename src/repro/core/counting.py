@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.core.usequence import sequence_length, u_element
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.state import LeaderState, State, is_leader_state
+from repro.engine.state import LeaderState, State
 from repro.errors import ProtocolError
 
 #: The paper's special mobile state: "unnamed / homonym detected".
@@ -98,6 +98,8 @@ class CountingProtocol(PopulationProtocol):
         self.bound = bound
         self._mobile = frozenset(range(bound))
         self._leaders: frozenset[State] | None = None
+        # The top of the pointer's domain, ``l_{P-1} + 1`` (1 when P = 1).
+        self._k_cap = sequence_length(bound - 1) + 1 if bound > 1 else 1
 
     # -- state spaces ---------------------------------------------------
 
@@ -110,20 +112,16 @@ class CountingProtocol(PopulationProtocol):
         bounds (verification and model checking).  Built once per
         instance."""
         if self._leaders is None:
-            k_max = (
-                sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
-            )
             self._leaders = frozenset(
                 CountingLeaderState(n, k)
                 for n in range(self.bound + 1)
-                for k in range(k_max + 1)
+                for k in range(self._k_cap + 1)
             )
         return self._leaders
 
     def leader_space_size(self) -> int:
         """``(P + 1) * (k_max + 1)`` in closed form (no enumeration)."""
-        k_max = sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
-        return (self.bound + 1) * (k_max + 1)
+        return (self.bound + 1) * (self._k_cap + 1)
 
     def initial_leader_state(self) -> State:
         return CountingLeaderState(0, 0)
@@ -131,10 +129,11 @@ class CountingProtocol(PopulationProtocol):
     # -- transition function -------------------------------------------
 
     def transition(self, p: State, q: State) -> tuple[State, State]:
-        if is_leader_state(p) and not is_leader_state(q):
-            leader, name = self._bst_rule(p, q)
-            return leader, name
-        if is_leader_state(q) and not is_leader_state(p):
+        p_leads = isinstance(p, LeaderState)
+        q_leads = isinstance(q, LeaderState)
+        if p_leads and not q_leads:
+            return self._bst_rule(p, q)
+        if q_leads and not p_leads:
             leader, name = self._bst_rule(q, p)
             return name, leader
         return self._mobile_rule(p, q)
@@ -145,9 +144,8 @@ class CountingProtocol(PopulationProtocol):
         """Lines 1-9 of Protocol 1."""
         n, k = leader.n, leader.k
         if n < self.bound and (name == SINK_STATE or name > n):
-            k_cap = sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
             n, k, name = protocol1_leader_step(
-                n, k, name, self.bound - 1, k_cap
+                n, k, name, self.bound - 1, self._k_cap
             )
             return CountingLeaderState(n, k), name
         return leader, name

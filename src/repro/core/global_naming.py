@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.core.counting import SINK_STATE, protocol1_leader_step
 from repro.core.usequence import sequence_length
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.state import LeaderState, State, is_leader_state
+from repro.engine.state import LeaderState, State
 from repro.errors import ProtocolError
 
 
@@ -59,6 +59,8 @@ class GlobalNamingProtocol(PopulationProtocol):
         self.bound = bound
         self._mobile = frozenset(range(bound))
         self._leaders: frozenset[State] | None = None
+        # The top of the pointer's domain, ``l_{P-1} + 1`` (1 when P = 1).
+        self._k_cap = sequence_length(bound - 1) + 1 if bound > 1 else 1
 
     # -- state spaces ---------------------------------------------------
 
@@ -69,21 +71,17 @@ class GlobalNamingProtocol(PopulationProtocol):
         """Reachable BST states.  Exponential in ``P``; enumerate only for
         small bounds.  Built once per instance."""
         if self._leaders is None:
-            k_max = (
-                sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
-            )
             self._leaders = frozenset(
                 GlobalLeaderState(n, k, ptr)
                 for n in range(self.bound + 1)
-                for k in range(k_max + 1)
+                for k in range(self._k_cap + 1)
                 for ptr in range(self.bound + 1)
             )
         return self._leaders
 
     def leader_space_size(self) -> int:
         """``(P + 1)^2 * (k_max + 1)`` in closed form (no enumeration)."""
-        k_max = sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
-        return (self.bound + 1) * (k_max + 1) * (self.bound + 1)
+        return (self.bound + 1) * (self._k_cap + 1) * (self.bound + 1)
 
     def initial_leader_state(self) -> State:
         return GlobalLeaderState(0, 0, 0)
@@ -91,10 +89,11 @@ class GlobalNamingProtocol(PopulationProtocol):
     # -- transition function -------------------------------------------
 
     def transition(self, p: State, q: State) -> tuple[State, State]:
-        if is_leader_state(p) and not is_leader_state(q):
-            leader, name = self._bst_rule(p, q)
-            return leader, name
-        if is_leader_state(q) and not is_leader_state(p):
+        p_leads = isinstance(p, LeaderState)
+        q_leads = isinstance(q, LeaderState)
+        if p_leads and not q_leads:
+            return self._bst_rule(p, q)
+        if q_leads and not p_leads:
             leader, name = self._bst_rule(q, p)
             return name, leader
         return self._mobile_rule(p, q)
@@ -105,9 +104,8 @@ class GlobalNamingProtocol(PopulationProtocol):
         n, k, ptr = leader.n, leader.k, leader.name_ptr
         if n < self.bound and (name == SINK_STATE or name > n):
             # Lines 2-9: the Protocol 1 core (counting / naming for N < P).
-            k_cap = sequence_length(self.bound - 1) + 1 if self.bound > 1 else 1
             n, k, name = protocol1_leader_step(
-                n, k, name, self.bound - 1, k_cap
+                n, k, name, self.bound - 1, self._k_cap
             )
             return GlobalLeaderState(n, k, ptr), name
         if n == self.bound and ptr < self.bound:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.core.counting import SINK_STATE, protocol1_leader_step
 from repro.core.usequence import sequence_length
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.state import LeaderState, State, is_leader_state
+from repro.engine.state import LeaderState, State
 from repro.errors import ProtocolError
 
 
@@ -61,6 +61,8 @@ class SelfStabilizingNamingProtocol(PopulationProtocol):
         self.bound = bound
         self._mobile = frozenset(range(bound + 1))
         self._leaders: frozenset[State] | None = None
+        # The top of the pointer's domain, ``l_P + 1``.
+        self._k_cap = sequence_length(bound) + 1
 
     # -- state spaces ---------------------------------------------------
 
@@ -72,17 +74,16 @@ class SelfStabilizingNamingProtocol(PopulationProtocol):
         ``P``; enumerate only for small bounds.  Built once per
         instance."""
         if self._leaders is None:
-            k_max = sequence_length(self.bound) + 1
             self._leaders = frozenset(
                 SelfStabLeaderState(n, k)
                 for n in range(self.bound + 2)
-                for k in range(k_max + 1)
+                for k in range(self._k_cap + 1)
             )
         return self._leaders
 
     def leader_space_size(self) -> int:
         """``(P + 2) * (l_P + 2)`` in closed form (no enumeration)."""
-        return (self.bound + 2) * (sequence_length(self.bound) + 2)
+        return (self.bound + 2) * (self._k_cap + 1)
 
     def initial_leader_state(self) -> SelfStabLeaderState:
         """The ``(0, 0)`` state a freshly deployed BST would use.
@@ -96,10 +97,11 @@ class SelfStabilizingNamingProtocol(PopulationProtocol):
     # -- transition function -------------------------------------------
 
     def transition(self, p: State, q: State) -> tuple[State, State]:
-        if is_leader_state(p) and not is_leader_state(q):
-            leader, name = self._bst_rule(p, q)
-            return leader, name
-        if is_leader_state(q) and not is_leader_state(p):
+        p_leads = isinstance(p, LeaderState)
+        q_leads = isinstance(q, LeaderState)
+        if p_leads and not q_leads:
+            return self._bst_rule(p, q)
+        if q_leads and not p_leads:
             leader, name = self._bst_rule(q, p)
             return name, leader
         return self._mobile_rule(p, q)
@@ -110,8 +112,9 @@ class SelfStabilizingNamingProtocol(PopulationProtocol):
         n, k = leader.n, leader.k
         if n <= self.bound and (name == SINK_STATE or name > n):
             # Lines 2-9: the Protocol 1 core with U* = U_P.
-            k_cap = sequence_length(self.bound) + 1
-            n, k, name = protocol1_leader_step(n, k, name, self.bound, k_cap)
+            n, k, name = protocol1_leader_step(
+                n, k, name, self.bound, self._k_cap
+            )
             return SelfStabLeaderState(n, k), name
         if n > self.bound and name == SINK_STATE:
             # Lines 11-12: naming has failed; reset and restart.

@@ -42,6 +42,7 @@ from repro.engine.fast import BACKENDS, make_simulator
 from repro.engine.population import Population
 from repro.engine.problems import NamingProblem
 from repro.engine.protocol import PopulationProtocol
+from repro.engine.state import State
 from repro.experiments.report import check_mark, render_table
 from repro.schedulers.adversarial import HomonymPreservingScheduler
 from repro.schedulers.base import Scheduler
@@ -65,19 +66,41 @@ class Table1Row:
     evidence: list[str] = field(default_factory=list)
 
 
+def _start_spaces(
+    protocol: PopulationProtocol, spec: ModelSpec
+) -> tuple[list[State], list[State]]:
+    """The sorted state spaces :func:`_random_initials` draws from.
+
+    The mobile space in natural order; the leader space by ``repr``, and
+    only for a cell whose starts take a leader state from it (an
+    initialized leader with a designated state draws nothing), else
+    empty.  The draws index into these orders.
+    """
+    mobile_space = sorted(protocol.mobile_state_space())
+    draws_leader = protocol.requires_leader and (
+        spec.leader is not LeaderKind.INITIALIZED
+        or protocol.initial_leader_state() is None
+    )
+    leader_space = (
+        sorted(protocol.leader_state_space(), key=repr) if draws_leader else []
+    )
+    return mobile_space, leader_space
+
+
 def _random_initials(
     protocol: PopulationProtocol,
     population: Population,
     spec: ModelSpec,
     seed: int,
     samples: int,
+    mobile_space: list[State],
+    leader_space: list[State],
 ) -> list[Configuration]:
-    """Starting configurations matching the spec's initialization model."""
+    """Starting configurations matching the spec's initialization model,
+    drawn from the spaces :func:`_start_spaces` sorted."""
     import random
 
     rng = random.Random(seed)
-    mobile_space = sorted(protocol.mobile_state_space())
-    leader_space = sorted(protocol.leader_state_space(), key=repr)
 
     def leader_state() -> object | None:
         if not population.has_leader:
@@ -227,12 +250,19 @@ def _feasible_cell(
         f"states (paper: {expected_states})"
     )
 
+    mobile_space, leader_space = _start_spaces(protocol, spec)
     all_converged = True
     for n in _simulation_sizes(spec, bound):
         population = Population(n, protocol.requires_leader)
         for scheduler in _schedulers_for(spec, population, protocol, seed):
             for initial in _random_initials(
-                protocol, population, spec, seed, samples
+                protocol,
+                population,
+                spec,
+                seed,
+                samples,
+                mobile_space,
+                leader_space,
             ):
                 simulator = make_simulator(
                     backend, protocol, population, scheduler, NamingProblem()

@@ -493,7 +493,9 @@ def check_silent_configs_named(ctx: LintContext) -> list[Diagnostic]:
     except Exception:
         return []  # a raising transition; `closure` reports it
     colliding: list[list[str]] = []
-    for config in graph.nodes:
+    # Breadth-first discovery order, so a report names the same first
+    # witnesses on every run (``graph.nodes`` is a set).
+    for config in graph.edges:
         if not is_silent(protocol, config):
             continue
         names = config.mobile_states

@@ -9,9 +9,12 @@ correct under weak fairness must converge under *every* such scheduler.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.engine.configuration import Configuration
 from repro.engine.population import AgentId, Population
-from repro.schedulers.base import FairnessMonitor, Scheduler
+from repro.engine.state import State
+from repro.schedulers.base import Scheduler
 from repro.engine.protocol import PopulationProtocol
 
 
@@ -27,6 +30,15 @@ class HomonymPreservingScheduler(Scheduler):
     Because each round schedules every pair exactly once, every infinite
     schedule is weakly fair; yet the adversary delays progress maximally
     within that constraint.
+
+    Cost: the pending pairs of the round are kept as a sorted list of
+    ``(min, max)`` agent pairs, and candidates are tried in that order,
+    initiator first; the first null candidate is returned.  A call
+    tallies the mobile names once, O(N), at its first non-null
+    candidate, and scores each candidate meeting in O(1) from the at
+    most four tally entries it changes: the homonym agents it leaves
+    (the sum of the counts ``c >= 2``) and, on ties, the fewest
+    distinct names.
     """
 
     display_name = "homonym-preserving adversary"
@@ -41,35 +53,66 @@ class HomonymPreservingScheduler(Scheduler):
     ) -> None:
         super().__init__(population, seed)
         self._protocol = protocol
-        self._monitor = FairnessMonitor(population)
+        self._round = sorted(population.unordered_pairs())
+        self._pending = list(self._round)
 
     def next_pair(self, config: Configuration) -> tuple[AgentId, AgentId]:
-        pending = sorted(
-            (tuple(sorted(pair)) for pair in self._monitor.pending_pairs),
-        )
-        best: tuple[int, int, tuple[AgentId, AgentId]] | None = None
-        for x, y in pending:
+        pending = self._pending
+        transition = self._protocol.transition
+        states = config.states
+        leader = config.leader_index
+        tally: Counter | None = None
+        homonyms = names = 0
+        # (score, index in pending, pair) of the best concession so far.
+        best: tuple[tuple[int, int], int, tuple[AgentId, AgentId]] | None = None
+        for at, (x, y) in enumerate(pending):
             for initiator, responder in ((x, y), (y, x)):
-                p = config.state_of(initiator)
-                q = config.state_of(responder)
-                p2, q2 = self._protocol.transition(p, q)
+                p = states[initiator]
+                q = states[responder]
+                p2, q2 = transition(p, q)
                 if (p2, q2) == (p, q):
-                    self._monitor.observe(initiator, responder)
+                    self._retire(at)
                     return initiator, responder
-                after = config.apply(initiator, responder, (p2, q2))
-                score = (
-                    len(after.homonym_agents()),
-                    -len(set(after.mobile_states)),
-                )
-                if best is None or score > best[:2]:
-                    best = (*score, (initiator, responder))
+                if tally is None:
+                    tally = Counter(
+                        states
+                        if leader is None
+                        else states[:leader] + states[leader + 1:]
+                    )
+                    homonyms = sum(c for c in tally.values() if c >= 2)
+                    names = len(tally)
+                change: dict[State, int] = {}
+                if initiator != leader:
+                    change[p] = change.get(p, 0) - 1
+                    change[p2] = change.get(p2, 0) + 1
+                if responder != leader:
+                    change[q] = change.get(q, 0) - 1
+                    change[q2] = change.get(q2, 0) + 1
+                after_homonyms, after_names = homonyms, names
+                for state, delta in change.items():
+                    if delta:
+                        before = tally.get(state, 0)
+                        after = before + delta
+                        if before >= 2:
+                            after_homonyms -= before
+                        if after >= 2:
+                            after_homonyms += after
+                        after_names += (after > 0) - (before > 0)
+                score = (after_homonyms, -after_names)
+                if best is None or score > best[0]:
+                    best = (score, at, (initiator, responder))
         assert best is not None  # pending is never empty within a round
-        initiator, responder = best[2]
-        self._monitor.observe(initiator, responder)
-        return initiator, responder
+        self._retire(best[1])
+        return best[2]
+
+    def _retire(self, at: int) -> None:
+        """Retire the pending pair at index ``at``; a met round restarts."""
+        del self._pending[at]
+        if not self._pending:
+            self._pending = list(self._round)
 
     def reset(self) -> None:
-        self._monitor = FairnessMonitor(self.population)
+        self._pending = list(self._round)
 
 
 class EventuallyFairScheduler(Scheduler):

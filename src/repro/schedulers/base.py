@@ -115,8 +115,7 @@ class FairnessMonitor:
     """Tracks which unordered agent pairs have interacted.
 
     Used in tests to confirm that schedulers deliver the fairness they
-    advertise, and by adversarial schedulers to honour weak-fairness
-    deadlines.
+    advertise.
     """
 
     def __init__(self, population: Population) -> None:

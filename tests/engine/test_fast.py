@@ -935,6 +935,19 @@ class TestContentAddressedTableCache:
         assert table_fingerprint(GlobalNamingProtocol(3)) == (
             "83afa08cc8d9c63655a1432dc2527f24378ddf4c45649a1c4d950f7179c98a6e"
         )
+        # Protocols 1 and 2: their transitions must not move either.
+        assert table_fingerprint(CountingProtocol(3)) == (
+            "fabebdbffdfd3ee64a9e5b60c3ff98951537a9f2aefca9b82225f03d192a4b9b"
+        )
+        assert table_fingerprint(CountingProtocol(5)) == (
+            "c8ebe459ed84f2e3b19f62bf100d9ecd657269ddbaf1bfa8713e1494fab45ec5"
+        )
+        assert table_fingerprint(SelfStabilizingNamingProtocol(3)) == (
+            "e3ba84bd1dbb15c2566de4c1c93eaf54ab522be7de80ae0ac280216f5e163989"
+        )
+        assert table_fingerprint(SelfStabilizingNamingProtocol(5)) == (
+            "bdacb10b58ab0f29e11ceadcee7159602bb954c006dd0690a0a00f6c2f0237e7"
+        )
 
     def test_fingerprint_stable_across_instances(self):
         fp1 = table_fingerprint(AsymmetricNamingProtocol(6))

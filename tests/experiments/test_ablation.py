@@ -52,6 +52,19 @@ class TestAblation:
         assert len(p2) == 3
         assert all(p.converged for p in p2)
 
+    def test_adversary_rows_pinned(self, points):
+        # The homonym-preserving adversary is deterministic: its rows
+        # must not move when its scoring is reimplemented.
+        adversary = {
+            p.protocol: p.interactions
+            for p in points
+            if p.scheduler == "homonym-preserving adversary"
+        }
+        assert adversary == {
+            "asymmetric naming (Prop. 12)": 32,
+            "self-stabilizing naming, Protocol 2 (Prop. 16)": 80,
+        }
+
     def test_render(self, points):
         text = render_points(points)
         assert "scheduler ablation" in text

@@ -1,5 +1,6 @@
 """Tests for the Table 1 regeneration harness - the headline experiment."""
 
+import hashlib
 import warnings
 
 import pytest
@@ -28,7 +29,9 @@ from repro.experiments.table1 import (
     Table1Row,
     _check_roots,
     _check_sizes,
+    _random_initials,
     _simulation_sizes,
+    _start_spaces,
     main,
     render_rows,
     run_table1,
@@ -133,6 +136,50 @@ class TestSimulationSizes:
         )
         sizes = _simulation_sizes(spec, 5)
         assert 2 in sizes and 5 in sizes
+
+
+FEASIBLE_SPECS = [spec for spec in all_specs() if table1_cell(spec).feasible]
+
+
+class TestStartSampling:
+    def test_starts_pinned(self):
+        # The draws index into the sorted spaces, so sorting them once
+        # per cell must leave every start of a seed where it was.
+        starts = []
+        for spec in FEASIBLE_SPECS:
+            protocol = protocol_for(spec, 5)
+            spaces = _start_spaces(protocol, spec)
+            for n in _simulation_sizes(spec, 5):
+                population = Population(n, protocol.requires_leader)
+                starts += [
+                    config.states
+                    for config in _random_initials(
+                        protocol, population, spec, 2018, 3, *spaces
+                    )
+                ]
+        assert len(starts) == 180
+        assert hashlib.sha256(repr(starts).encode()).hexdigest() == (
+            "d1654cf85839902f33a486d3488b5a1ed4bed4406668c9556b89c4e8d5f87b92"
+        )
+
+    @pytest.mark.parametrize(
+        "spec", FEASIBLE_SPECS, ids=lambda spec: spec.describe()
+    )
+    def test_leader_space_sorted_only_when_drawn(self, spec):
+        # Every registered leader protocol designates an initial leader
+        # state, so only a non-initialized leader is drawn at random.
+        protocol = protocol_for(spec, 4)
+        mobile_space, leader_space = _start_spaces(protocol, spec)
+        assert mobile_space == sorted(protocol.mobile_state_space())
+        if (
+            protocol.requires_leader
+            and spec.leader is LeaderKind.NON_INITIALIZED
+        ):
+            assert leader_space == sorted(
+                protocol.leader_state_space(), key=repr
+            )
+        else:
+            assert leader_space == []
 
 
 def _exact_cases():

@@ -15,7 +15,7 @@ from repro.core.spec import (
 )
 from repro.engine.protocol import TableProtocol
 from repro.lint import LintBudgets, Severity, lint_protocol
-from tests.property.tables import Boss
+from tests.property.tables import Boss, homonym_leak_table
 
 
 def by_rule(report, rule_id):
@@ -275,6 +275,24 @@ class TestSilentConfigsNamedRule:
             SelfStabilizingNamingProtocol(3), rules=["silent-configs-named"]
         )
         assert by_rule(report, "silent-configs-named") == []
+
+    def test_fallback_witnesses_in_discovery_order(self):
+        # State 7 is undeclared, so the symbolic checker cannot compile
+        # the table and the explicit exploration answers. Every start
+        # holds a homonym pair; breadth-first from the eight starts in
+        # product order, the silent configurations (two 7s each) are
+        # found as below, and the report names the first five.
+        report = lint_protocol(
+            homonym_leak_table(), rules=["silent-configs-named"]
+        )
+        (diag,) = by_rule(report, "silent-configs-named")
+        assert diag.witness == [
+            ["7", "7", "0"],
+            ["7", "0", "7"],
+            ["0", "7", "7"],
+            ["7", "7", "1"],
+            ["7", "1", "7"],
+        ]
 
     def test_exploration_budget_reports_info(self):
         report = lint_protocol(

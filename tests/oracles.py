@@ -3,10 +3,12 @@
 These are the straightforward versions that the library's faster code
 replaced: the two-loop ``closure``/``symmetry`` lint scans (one over
 ordered pairs, one calling ``transition`` on both orientations of each
-unordered pair), and the symbolic checker's per-successor frontier loop
-with its root, adjacency and duplicate-name helpers.  The differential
-tests hold the library to exactly their answers: same diagnostics, same
-witness order, same node numbering.
+unordered pair), the symbolic checker's per-successor frontier loop
+with its root, adjacency and duplicate-name helpers, and the
+homonym-preserving adversary that scores every candidate meeting on a
+whole new configuration.  The differential tests hold the library to
+exactly their answers: same diagnostics, same witness order, same node
+numbering, same scheduled pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.analysis.symbolic import CountsSystem
+from repro.engine.configuration import Configuration
+from repro.engine.population import AgentId, Population
 from repro.engine.protocol import (
     PopulationProtocol,
     _state_pairs,
@@ -26,6 +30,7 @@ from repro.engine.state import State, is_leader_state, sort_key
 from repro.errors import VerificationError
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.rules import WITNESS_LIMIT, LintContext
+from repro.schedulers.base import FairnessMonitor, Scheduler
 
 # ----------------------------------------------------------------------
 # Lint: closure and symmetry as two separate scans
@@ -294,3 +299,59 @@ def oracle_duplicate_mask(system: CountsSystem, rows: np.ndarray) -> np.ndarray:
     """Per row: two mobile agents share a projected name (matmul)."""
     name_counts = rows[:, : system.M] @ system.name_matrix
     return (name_counts >= 2).any(axis=1)
+
+
+# ----------------------------------------------------------------------
+# Schedulers: the adversary that scores a whole configuration per meeting
+# ----------------------------------------------------------------------
+
+
+class OracleHomonymPreservingScheduler(Scheduler):
+    """The homonym-preserving adversary, scored per candidate meeting.
+
+    Each call sorts the pending frozensets of a :class:`FairnessMonitor`
+    and scores every non-null candidate on the configuration it would
+    produce: ``Configuration.apply``, then ``homonym_agents()`` and
+    ``set(mobile_states)``.
+    """
+
+    display_name = "homonym-preserving adversary"
+    weakly_fair = True
+
+    def __init__(
+        self,
+        population: Population,
+        protocol: PopulationProtocol,
+        seed: int | None = None,
+    ) -> None:
+        super().__init__(population, seed)
+        self._protocol = protocol
+        self._monitor = FairnessMonitor(population)
+
+    def next_pair(self, config: Configuration) -> tuple[AgentId, AgentId]:
+        pending = sorted(
+            (tuple(sorted(pair)) for pair in self._monitor.pending_pairs),
+        )
+        best: tuple[int, int, tuple[AgentId, AgentId]] | None = None
+        for x, y in pending:
+            for initiator, responder in ((x, y), (y, x)):
+                p = config.state_of(initiator)
+                q = config.state_of(responder)
+                p2, q2 = self._protocol.transition(p, q)
+                if (p2, q2) == (p, q):
+                    self._monitor.observe(initiator, responder)
+                    return initiator, responder
+                after = config.apply(initiator, responder, (p2, q2))
+                score = (
+                    len(after.homonym_agents()),
+                    -len(set(after.mobile_states)),
+                )
+                if best is None or score > best[:2]:
+                    best = (*score, (initiator, responder))
+        assert best is not None  # pending is never empty within a round
+        initiator, responder = best[2]
+        self._monitor.observe(initiator, responder)
+        return initiator, responder
+
+    def reset(self) -> None:
+        self._monitor = FairnessMonitor(self.population)

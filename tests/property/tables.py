@@ -3,7 +3,9 @@
 The tables mix well-formed rules with the ill-formed kinds that the
 validators, the lint rules and the symbolic compiler must handle: results
 outside the declared spaces and rules that move a state across the
-mobile/leader role boundary.
+mobile/leader role boundary.  Two fixed helpers sit beside it: a table
+whose transition raises on chosen pairs, and a leaking table with known
+silent homonymous configurations.
 """
 
 from __future__ import annotations
@@ -74,4 +76,31 @@ def random_tables(draw, max_mobile=4, max_leaders=3, wild=True):
         leaders,
         symmetric=draw(st.booleans()),
         display_name="table fuzz",
+    )
+
+
+class RaisingProtocol(TableProtocol):
+    """A table protocol whose transition raises on a set of pairs."""
+
+    def __init__(self, *args, raising=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._raising = set(raising)
+
+    def transition(self, p, q):
+        if (p, q) in self._raising:
+            raise RuntimeError(f"no rule for {(p, q)!r}")
+        return super().transition(p, q)
+
+
+def homonym_leak_table() -> TableProtocol:
+    """Meeting homonyms both leave the declared space ``{0, 1}`` for 7.
+
+    Leaderless, arbitrary initialization.  At ``N = 3`` every start holds
+    a homonym pair and so is not silent; the silent configurations
+    reached are the six that hold two 7s.
+    """
+    return TableProtocol(
+        {(0, 0): (7, 7), (1, 1): (7, 7)},
+        mobile_states=[0, 1],
+        display_name="homonym leak",
     )

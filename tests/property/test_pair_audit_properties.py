@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.protocol import (
-    TableProtocol,
     _unordered_state_pairs,
     asymmetric_witnesses,
     verify_closure,
@@ -27,7 +26,7 @@ from tests.oracles import (
     oracle_closure,
     oracle_symmetry,
 )
-from tests.property.tables import random_tables
+from tests.property.tables import RaisingProtocol, random_tables
 
 
 RULE_SETS = [
@@ -87,19 +86,6 @@ class TestAuditMatchesTwoScans:
         with pytest.raises(ProtocolError) as info:
             verify_protocol(protocol)
         assert ("asymmetric rule" in str(info.value)) == (not closure)
-
-
-class RaisingProtocol(TableProtocol):
-    """A table protocol whose transition raises on a set of pairs."""
-
-    def __init__(self, *args, raising=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._raising = set(raising)
-
-    def transition(self, p, q):
-        if (p, q) in self._raising:
-            raise RuntimeError(f"no rule for {(p, q)!r}")
-        return super().transition(p, q)
 
 
 class TestRaisingPairs:

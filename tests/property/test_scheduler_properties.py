@@ -1,5 +1,6 @@
-"""Property-based validation of the deterministic schedulers: fairness
-and the ``period`` contract."""
+"""Property-based validation of the deterministic schedulers: fairness,
+the ``period`` contract, and the homonym-preserving adversary's
+incremental scoring against the per-candidate oracle."""
 
 import copy
 import random
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fairness_audit import audit_scheduler
+from repro.core.asymmetric import AsymmetricNamingProtocol
+from repro.core.selfstab_naming import SelfStabilizingNamingProtocol
 from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.configuration import Configuration
 from repro.engine.population import Population
@@ -31,6 +34,8 @@ from repro.schedulers.round_robin import (
     InterleavedRoundRobinScheduler,
     RoundRobinScheduler,
 )
+from tests.oracles import OracleHomonymPreservingScheduler
+from tests.property.tables import Boss, RaisingProtocol, random_tables
 
 
 class TestRoundRobinFairness:
@@ -192,3 +197,130 @@ class TestPeriodContract:
             RoundRobinScheduler(population, seed=1, shuffle_each_cycle=True),
         ]
         assert [s.period for s in schedulers] == [None] * len(schedulers)
+
+
+def _step_side_by_side(protocol, population, configs, steps, reset_at):
+    """Ask the adversary and its oracle for ``steps`` pairs and return
+    them, stopping at the first exception, which both must raise alike.
+
+    ``configs`` yields the configuration of each call from the pair the
+    previous call returned (``None`` on the first call).
+    """
+    scheduler = HomonymPreservingScheduler(population, protocol, seed=0)
+    oracle = OracleHomonymPreservingScheduler(population, protocol, seed=0)
+    pairs = []
+    pair = None
+    for step in range(steps):
+        if step == reset_at:
+            scheduler.reset()
+            oracle.reset()
+        config = configs(pair)
+        try:
+            pair = oracle.next_pair(config)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as info:
+                scheduler.next_pair(config)
+            assert str(info.value) == str(exc)
+            return pairs
+        assert scheduler.next_pair(config) == pair
+        pairs.append(pair)
+    return pairs
+
+
+class TestHomonymAdversaryMatchesOracle:
+    """The O(1) candidate score picks exactly the per-candidate oracle's
+    pairs: random tables (leader states, undeclared results, role
+    crossings, raising pairs), N from 2 to 6 with and without a leader,
+    several rounds and a reset."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_tables(), st.data())
+    def test_same_pairs_on_random_tables(self, table, data):
+        n = data.draw(st.integers(min_value=2, max_value=6), label="N")
+        has_leader = data.draw(st.booleans(), label="leader")
+        mobile = sorted(table.mobile_state_space())
+        leaders = sorted(table.leader_state_space(), key=repr)
+        everything = mobile + leaders + [len(mobile) + 5, Boss(99)]
+        candidates = sorted(
+            {(p, q) for p in everything for q in everything}, key=repr
+        )
+        protocol = RaisingProtocol(
+            table.table,
+            mobile,
+            leaders,
+            symmetric=table.symmetric,
+            display_name="raising fuzz",
+            raising=data.draw(
+                st.sets(st.sampled_from(candidates), max_size=2),
+                label="raising",
+            ),
+        )
+        population = Population(n, has_leader)
+        mobile_pool = st.sampled_from(mobile + [len(mobile) + 5])
+        leader_pool = st.sampled_from(everything)
+
+        def draw_config():
+            return Configuration.from_states(
+                population,
+                data.draw(st.lists(mobile_pool, min_size=n, max_size=n)),
+                data.draw(leader_pool) if has_leader else None,
+            )
+
+        # Either one run that applies each scheduled meeting, or a fresh
+        # random configuration for every call.
+        fresh = data.draw(st.booleans(), label="fresh")
+        current = [draw_config()]
+
+        def configs(pair):
+            if pair is not None:
+                if fresh:
+                    current[0] = draw_config()
+                else:
+                    config = current[0]
+                    i, r = pair
+                    outcome = protocol.transition(
+                        config.state_of(i), config.state_of(r)
+                    )
+                    current[0] = config.apply(i, r, outcome)
+            return current[0]
+
+        rounds = population.pair_count()
+        steps = data.draw(
+            st.integers(min_value=rounds, max_value=3 * rounds + 2),
+            label="steps",
+        )
+        reset_at = data.draw(
+            st.integers(min_value=0, max_value=steps), label="reset_at"
+        )
+        _step_side_by_side(protocol, population, configs, steps, reset_at)
+
+    @pytest.mark.parametrize(
+        "protocol,has_leader,start",
+        [
+            (AsymmetricNamingProtocol(6), False, (0,) * 6),
+            (AsymmetricNamingProtocol(5), False, (0, 1, 1, 3, 3)),
+            (SelfStabilizingNamingProtocol(5), True, (0,) * 5),
+            (SelfStabilizingNamingProtocol(4), True, (2, 2, 4, 4)),
+        ],
+        ids=["prop12-uniform", "prop12-mixed", "protocol2-uniform",
+             "protocol2-mixed"],
+    )
+    def test_same_pairs_on_naming_runs(self, protocol, has_leader, start):
+        population = Population(len(start), has_leader)
+        leader = protocol.initial_leader_state() if has_leader else None
+        current = [Configuration.from_states(population, start, leader)]
+
+        def configs(pair):
+            if pair is not None:
+                config = current[0]
+                i, r = pair
+                outcome = protocol.transition(
+                    config.state_of(i), config.state_of(r)
+                )
+                current[0] = config.apply(i, r, outcome)
+            return current[0]
+
+        pairs = _step_side_by_side(
+            protocol, population, configs, 400, reset_at=150
+        )
+        assert len(pairs) == 400
