@@ -34,6 +34,7 @@ from repro.engine.configuration import Configuration
 from repro.engine.population import Population
 from repro.engine.problems import NamingProblem
 from repro.engine.protocol import PopulationProtocol
+from repro.engine.simulator import abbreviate_states
 from repro.engine.fast import BACKENDS, make_simulator
 from repro.engine.trace import Trace
 from repro.errors import InfeasibleSpecError, ProtocolError, SchedulerError
@@ -171,7 +172,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"(paper optimum: {cell.optimal_states(args.bound)})"
     )
     print(f"population: N = {args.n}, P = {args.bound}")
-    print(f"start     : {initial.mobile_states}")
+    print(f"start     : {abbreviate_states(initial.mobile_states)}")
     print(f"result    : {result}")
     if args.verbose and result.stats is not None:
         print(f"perf      : {result.stats} [{args.backend} backend]")

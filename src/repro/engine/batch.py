@@ -677,7 +677,19 @@ class BatchedEnsembleSimulator:
                     _sanitize.check_counts_rows(
                         "batch", C_v, idx, size, steps_done
                     )
-                C_act_flat.take(cols_v, out=cnt_v)
+                # Both kernel gathers pass mode="clip", because under
+                # the default "raise" NumPy gathers a ``take`` with
+                # ``out=`` into a temporary buffer first.  Clipping never
+                # changes a value, as no index is out of range: here
+                # each is a row offset r * n_states (r < n_rows) plus a
+                # pair column below n_states; below, the pick ``fi``
+                # counts the columns with cum <= t = u2 * W.  t is
+                # computed from the float64 rounding of W = cum[-1],
+                # and less_equal compares cum in that same rounding.
+                # As u2 < 1 and W >= 1 on every row that reaches the
+                # pick (silent rows finalize first), t < float64(W) at
+                # every N, so cum[-1] never counts and fi < n_pairs.
+                C_act_flat.take(cols_v, out=cnt_v, mode="clip")
                 np.subtract(cj_v, diag, out=w_v)
                 np.multiply(ci_v, w_v, out=w_v)
                 w_v.cumsum(axis=1, out=cum_v)
@@ -773,7 +785,7 @@ class BatchedEnsembleSimulator:
                 # -- apply the transitions: each row moves by its
                 # event's aggregate delta row, added in place to the
                 # compacted working rows --
-                delta_mat.take(fi_v, axis=0, out=d_v)
+                delta_mat.take(fi_v, axis=0, out=d_v, mode="clip")
                 np.add(C_v, d_v, out=C_v)
                 steps_done += 1
         finally:

@@ -234,37 +234,6 @@ def intern_initial(
     return counts, None
 
 
-def materialize_counts(
-    table: TransitionTable,
-    n_mobile: int,
-    counts: list[int],
-    leader_pos: int | None,
-) -> Configuration:
-    """A canonical representative of the counts' equivalence class.
-
-    Mobile states are expanded in interned (``sort_key``) order; the
-    leader - the unique count among leader-only indices - returns to the
-    agent slot it occupied initially.  Exact up to the paper's
-    Section 3.1 equivalence; O(N).  Shared by the counts and batch
-    backends.
-    """
-    objs = table.states
-    states: list = []
-    for i in range(n_mobile):
-        k = counts[i]
-        if k:
-            states.extend([objs[i]] * k)
-    if leader_pos is None:
-        return Configuration(tuple(states), None)
-    leader_state = None
-    for i in range(n_mobile, table.n_states):
-        if counts[i]:
-            leader_state = objs[i]
-            break
-    states.insert(leader_pos, leader_state)
-    return Configuration(tuple(states), leader_pos)
-
-
 def _rebuild_counts_configuration(
     pairs: tuple, leader_state, leader_pos: int | None
 ) -> "CountsConfiguration":
@@ -284,10 +253,13 @@ class CountsConfiguration(Configuration):
     cannot tell the difference - except that a result whose final
     configuration is never inspected costs O(S), not O(N).
 
-    This is what lets the lockstep engines return R-replicate ensembles
-    without holding R O(N) tuples alive, and what lets parallel
-    ensembles return results from worker processes with no per-agent
-    pickling: pickling one of these ships the pairs, not the expansion.
+    Every counts-based engine returns its final configuration as one of
+    these (:func:`materialize_counts_lazy`).  That is what lets the
+    lockstep engines return R-replicate ensembles without holding R
+    O(N) tuples alive, what keeps a per-run result at N = 10^6 a few
+    hundred bytes, and what lets parallel ensembles return results from
+    worker processes with no per-agent pickling: pickling one of these
+    ships the pairs, not the expansion.
     """
 
     __slots__ = ("_pairs", "_lazy_leader", "_states_cache")
@@ -385,13 +357,17 @@ def materialize_counts_lazy(
     counts,
     leader_pos: int | None,
 ) -> Configuration:
-    """O(S) lazy variant of :func:`materialize_counts`.
+    """A canonical representative of the counts' equivalence class.
 
-    Returns a :class:`CountsConfiguration` equal (``==``, ``hash``) to
-    ``materialize_counts(table, n_mobile, counts, leader_pos)`` but
-    holding only the nonzero ``(state, count)`` pairs; the O(N) states
-    tuple is expanded on first access.  Used by the lockstep engines,
-    whose final configurations are frequently never inspected per agent.
+    Mobile states are expanded in interned (``sort_key``) order; the
+    leader - the unique count among leader-only indices - returns to the
+    agent slot it occupied initially.  Exact up to the paper's
+    Section 3.1 equivalence.  Returns a :class:`CountsConfiguration`
+    that holds only the nonzero ``(state, count)`` pairs, built in
+    O(S); the O(N) states tuple is expanded on first access.  The one
+    final-configuration materializer of every counts-based engine
+    (counts, leap, fluid, batch and bleap), whose results are
+    frequently never inspected per agent.
     """
     objs = table.states
     pairs = tuple(
@@ -616,15 +592,11 @@ class CountSimulator:
     # ------------------------------------------------------------------
 
     def _materialize(self, counts: list[int]) -> Configuration:
-        """A canonical representative of the counts' equivalence class.
-
-        Mobile states are expanded in interned (``sort_key``) order; the
-        leader - the unique count among leader-only indices - returns to
-        the agent slot it occupied initially.  Exact up to the paper's
-        Section 3.1 equivalence; O(N), called once per run plus once per
-        generic-problem convergence check.
+        """The canonical representative of ``counts`` (see
+        :func:`materialize_counts_lazy`); O(S), called once per run plus
+        once per generic-problem convergence check.
         """
-        return materialize_counts(
+        return materialize_counts_lazy(
             self._table, self._plan.n_mobile, counts, self._leader_pos
         )
 

@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 from repro.analysis.stats import Summary, summarize
 from repro.engine.configuration import Configuration
 from repro.engine.fast import make_simulator
+from repro.engine.fluid import ode_reuse_scope
 from repro.engine.population import Population
 from repro.engine.problems import Problem
 from repro.engine.protocol import PopulationProtocol
@@ -155,10 +156,12 @@ class EnsembleResult:
         exact backends.
 
         When the ensemble ran on the ``"fluid"`` backend the fluid
-        fields are aggregated as well: ``ode_steps`` sums the RK4 steps
-        over all runs, ``handoff_time`` is the mean handoff interaction
-        position, and ``handoff_backend`` is carried through when every
-        run handed off to the same engine.
+        fields are aggregated as well: ``ode_steps`` sums the runs'
+        trajectory step counts (so it reads the same whether replicates
+        with a shared start integrated once or each in turn),
+        ``handoff_time`` is the mean handoff interaction position, and
+        ``handoff_backend`` is carried through when every run handed off
+        to the same engine.
         """
         timed = [r for r in self.results if r.stats is not None]
         if not timed:
@@ -449,7 +452,11 @@ def run_ensemble(
         ``"fast"`` and ``"reference"``.  Runs a backend cannot honour
         fall down the ladder (``fluid -> leap -> counts -> ...``;
         ``bleap -> batch -> counts -> fast -> reference``) with a
-        structured :class:`~repro.errors.BackendFallbackWarning`.
+        structured :class:`~repro.errors.BackendFallbackWarning`.  A
+        serial (``n_jobs=1``) ``"fluid"`` ensemble integrates its
+        mean-field ODE once per distinct start within the call (see
+        :func:`~repro.engine.fluid.ode_reuse_scope`), with results
+        identical to per-seed runs.
     n_jobs:
         Number of worker processes.  ``1`` runs serially in-process;
         larger values fan the seeds out over a
@@ -520,11 +527,14 @@ def run_ensemble(
                     require_convergence)
     else:
         # Seed-by-seed, so ``require_convergence`` still aborts at the
-        # first failing seed without running the rest.
-        for seed in seeds:
-            result = _run_chunk((common, [seed]))[0]
-            _record(ensemble, seed, result, max_interactions,
-                    require_convergence)
+        # first failing seed without running the rest.  One reuse scope
+        # spans the loop: a fluid ensemble integrates each distinct
+        # start's mean-field ODE once per call, not once per seed.
+        with ode_reuse_scope():
+            for seed in seeds:
+                result = _run_chunk((common, [seed]))[0]
+                _record(ensemble, seed, result, max_interactions,
+                        require_convergence)
     return ensemble
 
 

@@ -3,9 +3,12 @@ stochastic handoff.
 
 Beyond N = 10^8 even the leap backend's multinomial windows stop being
 the bottleneck: the O(N) work at the *edges* of a run - building the
-initial agent tuple, interning its state tally, materializing the final
-configuration - costs more than the windowed kernel in between, and at
-N = 10^10 an agent tuple does not fit in memory at all.  The classical
+initial agent tuple and interning its state tally - costs more than the
+windowed kernel in between, and at N = 10^10 an agent tuple does not fit
+in memory at all.  (The final configuration is no such edge: every
+counts engine returns it as an O(S)
+:class:`~repro.engine.counts.CountsConfiguration` that expands to
+per-agent states only when read.)  The classical
 way past that wall is the *fluid (mean-field) limit*: as N grows, the
 scaled counts process concentrates on the solution of the deterministic
 ODE
@@ -50,6 +53,17 @@ with the leap backend's own error control.  ``RunStats`` reports
 ``ode_steps``, ``handoff_time`` and ``handoff_backend`` so ``--verbose``
 CLIs show how much of a run was fluid.
 
+The mean-field phase is a deterministic function of its inputs (the
+compiled plan, the interned start, the budget, ``leap_eps``,
+``handoff_floor`` and N), so replicates that share them share its
+handoff state; only their stochastic endgames differ.  Inside an
+:func:`ode_reuse_scope` - which
+:func:`~repro.engine.ensemble.run_ensemble` opens around its serial
+per-run loop - each distinct phase is integrated once, and every
+result, ``RunStats.ode_steps`` and ``handoff_time`` included, equals a
+lone run's.  The scope's dict dies with the block that opened it, so no
+integration is reused across calls.
+
 Because the whole pipeline is counts-native, the backend also exposes
 :meth:`FluidSimulator.run_counts`: start from a ``{state: count}``
 tally and (optionally) skip final materialization, so ``scaling
@@ -68,11 +82,13 @@ ladder ``leap -> counts -> fast -> reference``) with a
 from __future__ import annotations
 
 import time
-from typing import Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, Mapping
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
-from repro.engine.counts import materialize_counts
+from repro.engine.counts import materialize_counts_lazy
 from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT, warn_fallback
 from repro.engine.leap import (
     DEFAULT_LEAP_EPS,
@@ -132,6 +148,111 @@ def _round_conserving(x, size: int):
                            kind="stable")
         base[order[:-deficit]] -= 1
     return base.astype(np.int64)
+
+
+def _mean_field_phase(
+    plan,
+    leap,
+    counts: list[int],
+    budget: int,
+    leap_eps: float,
+    handoff_floor: int,
+    size: int,
+):
+    """Integrate the mean-field ODE from ``counts`` up to the handoff.
+
+    A pure function of its inputs: the counts plan (pair indices),
+    its leap plan (delta matrix), the interned start counts, the
+    interaction budget, ``leap_eps``, ``handoff_floor`` and the
+    population size N.  Returns the handoff state ``(x, pos_f,
+    events_f, ode_steps)``: the float counts vector at the handoff
+    (read-only), the interaction position and the expected non-null
+    events the integration covered, and its RK4 step count.
+    """
+    np = _np
+    pair_i, pair_j, diag = plan.pair_i, plan.pair_j, plan.diag
+    deltas_f = leap.deltas.astype(np.float64)
+    total_pairs = float(size) * float(size - 1)
+    eps = leap_eps
+    floor = float(handoff_floor)
+
+    x = np.array(counts, dtype=np.float64)
+    pos_f = 0.0
+    events_f = 0.0  # expected non-null events covered by the ODE
+    ode_steps = 0
+
+    def drift(y):
+        """Per-interaction expected counts change at ``y``."""
+        w = y[pair_i] * (y[pair_j] - diag)
+        return (w / total_pairs) @ deltas_f, float(w.sum())
+
+    # Species that ever were macroscopic; one of them dwindling below
+    # the floor is the endgame signal that forces handoff.  With none
+    # to begin with there is nothing to integrate: the whole run is
+    # stochastic (bit-identical to backend="leap" for the same seed).
+    was_macroscopic = x >= floor
+    integrating = bool(was_macroscopic.any())
+    while integrating and pos_f < budget and ode_steps < MAX_ODE_STEPS:
+        k1, weight = drift(x)
+        if weight <= 0.0 or not np.isfinite(weight):
+            break  # mean-field silence; leap finalizes
+        remaining = budget - pos_f
+        # Gillespie/Petzold step rule: no species moves more than
+        # max(eps * count, 1) in expectation per step.
+        cap = np.maximum(eps * x, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_drift = np.where(k1 != 0.0, cap / np.abs(k1), np.inf)
+        h = float(t_drift.min())
+        if h >= remaining:
+            break  # drift stalled: fluctuations own the rest
+        h = max(h, 1.0)
+        k2, _ = drift(np.maximum(x + (h / 2.0) * k1, 0.0))
+        k3, _ = drift(np.maximum(x + (h / 2.0) * k2, 0.0))
+        k4, _ = drift(np.maximum(x + h * k3, 0.0))
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.maximum(x, 0.0, out=x)
+        if not bool(np.isfinite(x).all()):
+            raise SimulationError(
+                "the mean-field integration diverged (non-finite "
+                "counts); rerun on the leap backend"
+            )
+        pos_f += h
+        events_f += h * (weight / total_pairs)
+        ode_steps += 1
+        dwindled = was_macroscopic & (x < floor)
+        was_macroscopic |= x >= floor
+        if bool(dwindled.any()):
+            break  # a macroscopic species hit the floor
+    x.setflags(write=False)
+    return x, pos_f, events_f, ode_steps
+
+
+#: The handoff states of the open reuse scope, keyed by every input of
+#: :func:`_mean_field_phase`; ``None`` outside any scope.
+_ODE_REUSE: ContextVar[dict | None] = ContextVar(
+    "fluid_ode_reuse", default=None
+)
+
+
+@contextmanager
+def ode_reuse_scope() -> Iterator[None]:
+    """Integrate each distinct mean-field phase once inside this block.
+
+    The ODE phase is deterministic, so the replicates of a fluid
+    ensemble that share a start, budget, ``leap_eps``,
+    ``handoff_floor`` and N share its handoff state; only their
+    stochastic endgames differ.  Inside the block, a native fluid run
+    whose phase inputs equal an earlier run's reuses that run's handoff
+    state, so every result - ``RunStats.ode_steps`` and
+    ``handoff_time`` included - is the one a lone run gives.  The dict
+    lives only as long as the block: nothing is cached across the
+    :func:`~repro.engine.ensemble.run_ensemble` calls that open it.
+    """
+    token = _ODE_REUSE.set({})
+    try:
+        yield
+    finally:
+        _ODE_REUSE.reset(token)
 
 
 class FluidSimulator:
@@ -288,8 +409,10 @@ class FluidSimulator:
         sum to the population size.  With ``materialize=False`` (the
         default) the returned result carries ``final_counts`` (a
         ``{state: count}`` tally) and ``final_configuration=None``;
-        ``materialize=True`` restores the O(N) canonical configuration
-        of the other backends.
+        ``materialize=True`` returns the canonical configuration the
+        other counts engines return, as the lazy O(S)
+        :class:`~repro.engine.counts.CountsConfiguration` representative
+        (per-agent states are built only when ``.states`` is read).
 
         Unlike :meth:`run` there is no graceful delegation - a
         delegation target would need the very O(N) configuration this
@@ -367,70 +490,34 @@ class FluidSimulator:
         materialize: bool,
         leader_pos: int | None,
     ) -> SimulationResult:
-        """Integrate, hand off, finish on leap; assumes preconditions."""
-        np = _np
+        """Integrate, hand off, finish on leap; assumes preconditions.
+
+        Inside an :func:`ode_reuse_scope` the mean-field phase runs once
+        per distinct set of its inputs; every later run with the same
+        inputs starts its endgame from the shared handoff state.
+        """
         started = time.perf_counter()
         plan = self._plan
-        pair_i, pair_j, diag = plan.pair_i, plan.pair_j, plan.diag
-        leap_tables = self._leap._leap
-        deltas_f = leap_tables.deltas.astype(np.float64)
         size = self.population.size
-        total_pairs = float(size) * float(size - 1)
-        eps = self.leap_eps
-        floor = float(self.handoff_floor)
         budget = max_interactions
-
-        x = np.asarray(counts, dtype=np.float64)
-        pos_f = 0.0
-        events_f = 0.0  # expected non-null events covered by the ODE
-        ode_steps = 0
-
-        def drift(y):
-            """Per-interaction expected counts change at ``y``."""
-            w = y[pair_i] * (y[pair_j] - diag)
-            return (w / total_pairs) @ deltas_f, float(w.sum())
-
-        # Species that ever were macroscopic; one of them dwindling
-        # below the floor is the endgame signal that forces handoff.
-        was_macroscopic = x >= floor
-        if not bool(was_macroscopic.any()):
-            # No species to integrate: the whole run is stochastic
-            # (bit-identical to backend="leap" for the same seed).
-            pass
+        phase = (
+            plan, self._leap._leap, counts, budget, self.leap_eps,
+            self.handoff_floor, size,
+        )
+        reuse = _ODE_REUSE.get()
+        if reuse is None:
+            handoff = _mean_field_phase(*phase)
         else:
-            while pos_f < budget and ode_steps < MAX_ODE_STEPS:
-                k1, weight = drift(x)
-                if weight <= 0.0 or not np.isfinite(weight):
-                    break  # mean-field silence; leap finalizes
-                remaining = budget - pos_f
-                # Gillespie/Petzold step rule: no species moves more
-                # than max(eps * count, 1) in expectation per step.
-                cap = np.maximum(eps * x, 1.0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_drift = np.where(
-                        k1 != 0.0, cap / np.abs(k1), np.inf
-                    )
-                h = float(t_drift.min())
-                if h >= remaining:
-                    break  # drift stalled: fluctuations own the rest
-                h = max(h, 1.0)
-                k2, _ = drift(np.maximum(x + (h / 2.0) * k1, 0.0))
-                k3, _ = drift(np.maximum(x + (h / 2.0) * k2, 0.0))
-                k4, _ = drift(np.maximum(x + h * k3, 0.0))
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                np.maximum(x, 0.0, out=x)
-                if not bool(np.isfinite(x).all()):
-                    raise SimulationError(
-                        "the mean-field integration diverged (non-finite "
-                        "counts); rerun on the leap backend"
-                    )
-                pos_f += h
-                events_f += h * (weight / total_pairs)
-                ode_steps += 1
-                dwindled = was_macroscopic & (x < floor)
-                was_macroscopic |= x >= floor
-                if bool(dwindled.any()):
-                    break  # a macroscopic species hit the floor
+            # The fingerprint stands for both plans: the leap plan is
+            # built from the counts plan's table.
+            key = (
+                plan.fingerprint, tuple(counts), budget, self.leap_eps,
+                self.handoff_floor, size,
+            )
+            handoff = reuse.get(key)
+            if handoff is None:
+                handoff = reuse[key] = _mean_field_phase(*phase)
+        x, pos_f, events_f, ode_steps = handoff
 
         handoff_pos = min(int(round(pos_f)), budget)
         handed = _round_conserving(x, size)
@@ -457,7 +544,7 @@ class FluidSimulator:
         final_configuration = None
         final_tally = None
         if materialize:
-            final_configuration = materialize_counts(
+            final_configuration = materialize_counts_lazy(
                 self._table, plan.n_mobile, final_counts, leader_pos
             )
         else:

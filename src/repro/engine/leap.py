@@ -70,7 +70,7 @@ from repro.engine.configuration import Configuration
 from repro.engine.counts import (
     CountSimulator,
     intern_initial,
-    materialize_counts,
+    materialize_counts_lazy,
 )
 from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT, warn_fallback
 from repro.engine.population import Population
@@ -432,7 +432,7 @@ class LeapSimulator:
             converged=converged,
             interactions=pos,
             non_null_interactions=events,
-            final_configuration=materialize_counts(
+            final_configuration=materialize_counts_lazy(
                 self._table, self._plan.n_mobile, final_counts,
                 self._leader_pos,
             ),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol as TypingProtocol
+from typing import Callable, Protocol as TypingProtocol, Sequence
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
@@ -64,12 +64,16 @@ class RunStats:
     fallen-back rows.  All four stay ``None`` on every exact backend.
 
     The fluid fields are populated only by native runs of the ``"fluid"``
-    backend (:mod:`repro.engine.fluid`): ``ode_steps`` counts the RK4
-    integration steps of the mean-field phase, ``handoff_time`` the
-    interaction position at which the deterministic trajectory was
+    backend (:mod:`repro.engine.fluid`): ``ode_steps`` is the RK4 step
+    count of the run's mean-field trajectory, ``handoff_time`` the
+    interaction position at which that deterministic trajectory was
     handed off to the stochastic endgame, and ``handoff_backend`` the
-    backend that ran that endgame (``"leap"``).  They stay ``None`` on
-    every other backend.
+    backend that ran that endgame (``"leap"``).  Both describe the
+    trajectory, not the work done: a replicate that reused the handoff
+    state of an earlier replicate with the same start
+    (:func:`~repro.engine.fluid.ode_reuse_scope`) reports the same
+    values as one that integrated it.  They stay ``None`` on every
+    other backend.
     """
 
     wall_seconds: float
@@ -181,15 +185,25 @@ class SimulationResult:
                 f"({self.non_null_interactions} non-null); "
                 f"{live} occupied states (counts-native run)"
             )
-        names = self.names()
-        shown = ", ".join(repr(s) for s in names[: self._STR_NAME_LIMIT])
-        if len(names) > self._STR_NAME_LIMIT:
-            shown += f", ... ({len(names) - self._STR_NAME_LIMIT} more)"
         return (
             f"{status} after {self.interactions} interactions "
             f"({self.non_null_interactions} non-null); "
-            f"names = ({shown})"
+            f"names = {abbreviate_states(self.names())}"
         )
+
+
+def abbreviate_states(states: Sequence) -> str:
+    """``states`` as ``(s1, s2, ...)``, cut after
+    ``SimulationResult._STR_NAME_LIMIT`` entries.
+
+    A cut list ends in ``... (k more)``, so a large population prints
+    one short line instead of N reprs.
+    """
+    limit = SimulationResult._STR_NAME_LIMIT
+    shown = ", ".join(repr(s) for s in states[:limit])
+    if len(states) > limit:
+        shown += f", ... ({len(states) - limit} more)"
+    return f"({shown})"
 
 
 class Simulator:

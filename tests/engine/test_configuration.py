@@ -1,5 +1,6 @@
 """Tests for Configuration: construction, views, equivalence, updates."""
 
+import pickle
 import warnings
 from collections import Counter
 
@@ -7,12 +8,15 @@ import pytest
 
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.core.counting import CountingLeaderState
+from repro.core.leader_uniform import LeaderUniformNamingProtocol
 from repro.engine.configuration import Configuration
-from repro.engine.counts import intern_initial
+from repro.engine.counts import CountsConfiguration, intern_initial
 from repro.engine.fast import compile_table, make_simulator
 from repro.engine.population import Population
+from repro.engine.problems import NamingProblem
 from repro.errors import BackendFallbackWarning, ConfigurationError
 from repro.schedulers.random_pair import RandomPairScheduler
+from tests.oracles import oracle_materialize_counts
 
 LEADER = CountingLeaderState(0, 0)
 
@@ -219,3 +223,65 @@ class TestUpdates:
         b = Configuration((1, 2, LEADER), leader_index=2)
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+class TestCountsEngineFinalConfigurations:
+    """Every per-run counts engine returns the lazy O(S) representative."""
+
+    @staticmethod
+    def _run(backend, protocol, population, initial, budget):
+        simulator = make_simulator(
+            backend, protocol, population,
+            RandomPairScheduler(population, seed=3), NamingProblem(),
+        )
+        result = simulator.run(initial, max_interactions=budget)
+        assert simulator.last_run_native
+        return simulator, result
+
+    @pytest.mark.parametrize("n", [50, 20_000])
+    @pytest.mark.parametrize("backend", ["counts", "leap", "fluid"])
+    def test_final_configuration_is_the_oracle_of_last_counts(
+        self, backend, n
+    ):
+        population = Population(n)
+        simulator, result = self._run(
+            backend, AsymmetricNamingProtocol(8), population,
+            Configuration.uniform(population, 0), 5 * n,
+        )
+        table = simulator._table
+        expected = oracle_materialize_counts(
+            table, len(table.mobile_indices), simulator.last_counts, None
+        )
+        assert isinstance(result.final_configuration, CountsConfiguration)
+        assert result.final_configuration == expected
+
+    @pytest.mark.parametrize("backend", ["counts", "leap"])
+    def test_leader_returns_to_its_slot(self, backend):
+        protocol = LeaderUniformNamingProtocol(6)
+        population = Population(5, has_leader=True)
+        initial = Configuration.uniform(
+            population,
+            protocol.initial_mobile_state(),
+            protocol.initial_leader_state(),
+        )
+        simulator, result = self._run(
+            backend, protocol, population, initial, 100_000
+        )
+        table = simulator._table
+        expected = oracle_materialize_counts(
+            table, len(table.mobile_indices), simulator.last_counts,
+            initial.leader_index,
+        )
+        final = result.final_configuration
+        assert isinstance(final, CountsConfiguration)
+        assert final == expected
+        assert final.leader_state == expected.leader_state
+
+    @pytest.mark.parametrize("backend", ["leap", "fluid"])
+    def test_pickled_result_at_a_million_agents_is_small(self, backend):
+        population = Population(1_000_000)
+        _, result = self._run(
+            backend, AsymmetricNamingProtocol(8), population,
+            Configuration.uniform(population, 0), 10 * population.size,
+        )
+        assert len(pickle.dumps(result)) < 4096

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.core.global_naming import GlobalNamingProtocol
+from repro.engine import fluid
 from repro.engine.configuration import Configuration
 from repro.engine.ensemble import FLUID_MIN_POPULATION, run_ensemble
 from repro.engine.fast import make_simulator
@@ -28,6 +29,7 @@ from repro.engine.fluid import (
     DEFAULT_HANDOFF_FLOOR,
     FluidSimulator,
     _round_conserving,
+    ode_reuse_scope,
 )
 from repro.engine.leap import LeapSimulator
 from repro.engine.population import Population
@@ -488,3 +490,112 @@ class TestEnsembleIntegration:
         assert stats.ode_steps is not None and stats.ode_steps > 0
         assert stats.handoff_time is not None
         assert stats.handoff_backend == "leap"
+
+
+# Module-level factories, so ``n_jobs=2`` can pickle them.
+def _random_pair(population, seed):
+    return RandomPairScheduler(population, seed=seed)
+
+
+def _uniform_zero(population, seed):
+    return Configuration.uniform(population, 0)
+
+
+def _two_starts(population, seed):
+    """Even seeds start uniform in state 0, odd seeds in state 3."""
+    return Configuration.uniform(population, 3 * (seed % 2))
+
+
+class TestOdeReuse:
+    """A serial fluid ensemble integrates each distinct start's ODE once
+    per ``run_ensemble`` call, and every result stays a lone run's."""
+
+    N = 20_000  # the ODE engages: the start holds N >= handoff_floor
+
+    @pytest.fixture
+    def phases(self, monkeypatch):
+        """Record every mean-field integration."""
+        calls = []
+        real = fluid._mean_field_phase
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fluid, "_mean_field_phase", spy)
+        return calls
+
+    def ensemble(self, initial_factory=_uniform_zero, **kw):
+        """A fluid ensemble of four replicates, seeds 0-3."""
+        population = Population(self.N)
+        return run_ensemble(
+            AsymmetricNamingProtocol(8), population, _random_pair,
+            initial_factory, NamingProblem(), seeds=range(4),
+            max_interactions=10 * self.N, backend="fluid", **kw,
+        )
+
+    def lone_run(self, seed, state=0, budget=None, **kw):
+        """One run on a fresh simulator, outside any ensemble."""
+        _, population, simulator = build(self.N, seed=seed, **kw)
+        return simulator.run(
+            uniform_initial(population, state),
+            max_interactions=10 * self.N if budget is None else budget,
+        )
+
+    def test_uniform_ensemble_integrates_once(self, phases):
+        results = self.ensemble().results
+        assert len(phases) == 1
+        assert all(r.stats.ode_steps > 0 for r in results)
+
+    def test_two_starts_integrate_twice(self, phases):
+        self.ensemble(_two_starts)
+        assert len(phases) == 2
+
+    def test_no_reuse_across_calls(self, phases):
+        self.ensemble()
+        self.ensemble()
+        assert len(phases) == 2
+        assert fluid._ODE_REUSE.get() is None
+
+    def test_results_equal_lone_runs(self):
+        ensemble = self.ensemble(_two_starts)
+        for seed, result in zip(ensemble.seeds, ensemble.results):
+            lone = self.lone_run(seed, state=3 * (seed % 2))
+            assert result_key(result) == result_key(lone)
+            assert result.stats.ode_steps == lone.stats.ode_steps
+            assert result.stats.handoff_time == lone.stats.handoff_time
+            assert result.stats.leaps == lone.stats.leaps
+
+    def test_parallel_equals_serial(self):
+        serial = self.ensemble(_two_starts)
+        parallel = self.ensemble(_two_starts, n_jobs=2)
+        assert parallel.results == serial.results
+        assert [r.stats.ode_steps for r in parallel.results] == [
+            r.stats.ode_steps for r in serial.results
+        ]
+        assert parallel.stats.handoff_time == serial.stats.handoff_time
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {"budget": 4 * N},
+            {"leap_eps": 0.05},
+            {"handoff_floor": 3_000},
+            {"state": 3},
+        ],
+        ids=["budget", "leap_eps", "handoff_floor", "start"],
+    )
+    def test_scope_keys_every_phase_input(self, variant):
+        """A run differing in one phase input never reuses another's
+        handoff state."""
+        base = self.lone_run(5)
+        alone = self.lone_run(5, **variant)
+        # Each input moves the handoff, so a reuse keyed without it
+        # would change the result.
+        assert result_key(alone) != result_key(base)
+        with ode_reuse_scope():
+            assert result_key(self.lone_run(5)) == result_key(base)
+            inside = self.lone_run(5, **variant)
+        assert result_key(inside) == result_key(alone)
+        assert inside.stats.ode_steps == alone.stats.ode_steps
+        assert inside.stats.handoff_time == alone.stats.handoff_time

@@ -6,9 +6,10 @@ ordered pairs, one calling ``transition`` on both orientations of each
 unordered pair), the symbolic checker's per-successor frontier loop
 with its root, adjacency and duplicate-name helpers, and the
 homonym-preserving adversary that scores every candidate meeting on a
-whole new configuration.  The differential tests hold the library to
+whole new configuration, and the eager expansion of a counts vector into
+a per-agent configuration.  The differential tests hold the library to
 exactly their answers: same diagnostics, same witness order, same node
-numbering, same scheduled pairs.
+numbering, same scheduled pairs, equal final configurations.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.analysis.symbolic import CountsSystem
 from repro.engine.configuration import Configuration
+from repro.engine.fast import TransitionTable
 from repro.engine.population import AgentId, Population
 from repro.engine.protocol import (
     PopulationProtocol,
@@ -299,6 +301,36 @@ def oracle_duplicate_mask(system: CountsSystem, rows: np.ndarray) -> np.ndarray:
     """Per row: two mobile agents share a projected name (matmul)."""
     name_counts = rows[:, : system.M] @ system.name_matrix
     return (name_counts >= 2).any(axis=1)
+
+
+# ----------------------------------------------------------------------
+# Counts engines: the eager final configuration
+# ----------------------------------------------------------------------
+
+
+def oracle_materialize_counts(
+    table: TransitionTable,
+    n_mobile: int,
+    counts,
+    leader_pos: int | None,
+) -> Configuration:
+    """The canonical representative of a counts vector, built in O(N).
+
+    Mobile states are expanded in interned order into one per-agent
+    tuple; the leader, the unique count among leader-only indices, is
+    inserted at ``leader_pos``.
+    """
+    objs = table.states
+    states: list = []
+    for i in range(n_mobile):
+        states.extend([objs[i]] * int(counts[i]))
+    if leader_pos is None:
+        return Configuration(tuple(states), None)
+    leader_state = next(
+        objs[i] for i in range(n_mobile, table.n_states) if counts[i]
+    )
+    states.insert(leader_pos, leader_state)
+    return Configuration(tuple(states), leader_pos)
 
 
 # ----------------------------------------------------------------------

@@ -101,6 +101,27 @@ class TestSimulate:
         assert main(argv) == 0
         assert "perf" not in capsys.readouterr().out
 
+    def test_large_population_prints_short_lines(self, capsys):
+        """The start line is cut like the result line's names, so N =
+        10^5 prints no 300 KB line; the result line itself is as before."""
+        code = main(
+            [
+                "simulate", "--symmetry", "asymmetric", "--fairness",
+                "global", "--leader", "none", "--init", "uniform",
+                "-P", "8", "-N", "100000", "--backend", "counts",
+                "--budget", "100000",
+            ]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1  # 8 names cannot cover 10^5 agents
+        assert max(len(line) for line in lines) <= 200
+        assert "start     : (0, 0, 0, 0, 0, 0, 0, 0, ... (99992 more))" in lines
+        assert (
+            "result    : did not converge after 100000 interactions "
+            "(59210 non-null); names = (0, 0, 0, 0, 0, 0, 0, 0, ... "
+            "(99992 more))"
+        ) in lines
+
     def test_verbose_bleap_prints_window_stats(self, capsys):
         """The tau-leaping ensemble backend's per-run stats carry the
         window counters into the --verbose perf line."""
