@@ -137,10 +137,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     rng = random.Random(args.seed)
     mobile_space = sorted(protocol.mobile_state_space())
-    if spec.mobile_init is MobileInit.UNIFORM:
-        value = protocol.initial_mobile_state()
-        mobiles = [value if value is not None else mobile_space[0]] * args.n
-    else:
+    mobiles = None  # None: a uniform start
+    if spec.mobile_init is not MobileInit.UNIFORM:
         mobiles = [rng.choice(mobile_space) for _ in range(args.n)]
     leader = None
     if population.has_leader:
@@ -150,7 +148,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             leader = rng.choice(
                 sorted(protocol.leader_state_space(), key=repr)
             )
-    initial = Configuration.from_states(population, mobiles, leader)
+    if mobiles is None:
+        # A uniform start carries its state tally, so interning it
+        # never hashes the N identical states.
+        value = protocol.initial_mobile_state()
+        initial = Configuration.uniform(
+            population, mobile_space[0] if value is None else value, leader
+        )
+    else:
+        initial = Configuration.from_states(population, mobiles, leader)
 
     trace = Trace(capacity=args.trace) if args.trace else None
     simulator = make_simulator(
@@ -172,7 +178,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"(paper optimum: {cell.optimal_states(args.bound)})"
     )
     print(f"population: N = {args.n}, P = {args.bound}")
-    print(f"start     : {abbreviate_states(initial.mobile_states)}")
+    print(f"start     : {abbreviate_states(initial)}")
     print(f"result    : {result}")
     if args.verbose and result.stats is not None:
         print(f"perf      : {result.stats} [{args.backend} backend]")

@@ -41,14 +41,26 @@ rebuilt only when the active-row set shrinks, and per-row uniforms are
 prefetched in blocks (:data:`REFILL_STEPS`) so the per-step Python
 overhead stays a handful of whole-array NumPy calls.
 
+The loop is one module-level function, :func:`lockstep_ssa`, which
+returns each row's final position and event count and leaves naming
+verdicts to its caller.  This engine runs it once from interaction 0
+with no cap.  The tau-leaping ensemble engine (:mod:`repro.engine.bleap`)
+runs it for its exact-SSA bursts: on the rows that burst at one window
+refresh, from their current positions, capped at
+:data:`~repro.engine.leap.EXACT_BURST` events.
+
 Randomness and reproducibility
 ------------------------------
 
 Every row draws from its **own** :class:`numpy.random.Generator`, seeded
-with its scheduler's seed, and consumes exactly two uniforms per kernel
-step it participates in.  A row's trajectory is therefore a function of
-its seed alone - independent of the other rows in the batch, of the batch
-size, and of how an ensemble is chunked across worker processes.  Serial,
+with its scheduler's seed, and consumes two uniforms per kernel step it
+participates in.  They are prefetched ``2 * min(cap, REFILL_STEPS)`` at
+a time (``REFILL_STEPS`` with no cap); the ones a row does not reach
+before it stops are discarded, which shifts that row's later stream
+(bleap's next window or burst) by an amount fixed by its own
+trajectory.  A row's trajectory is therefore a function of its seed
+alone - independent of the other rows in the batch, of the batch size,
+and of how an ensemble is chunked across worker processes.  Serial,
 parallel and single-run executions of the same seed are bit-identical.
 
 Exactness contract (the documented sampling-equivalence tolerance)
@@ -112,13 +124,16 @@ except ImportError:  # pragma: no cover - the test image ships NumPy
 
 #: Kernel steps between per-row uniform-buffer refills.  Each active row
 #: consumes two uniforms per step, so a refill draws ``2 * REFILL_STEPS``
-#: values from each live row's generator.  Sizing trade-off: the refill
-#: is the kernel's only per-row Python loop, so larger blocks amortize
-#: it over more steps; draws prefetched past a row's end are simply
-#: discarded (each row owns its generator, so the waste cannot perturb
-#: any other row).  128 halves the loop frequency of the original 64
-#: while keeping the buffer small (2 KiB per row); at R = 256 that is
-#: the difference between ~4 and ~2 generator calls per kernel step.
+#: values from each live row's generator, or ``2 * cap`` when a call's
+#: event cap is smaller (a bleap burst: exactly one refill per burst).
+#: Sizing trade-off: the refill is the kernel's only per-row Python
+#: loop, so larger blocks amortize it over more steps; draws prefetched
+#: past a row's end are discarded (each row owns its generator, so the
+#: waste cannot perturb any other row, and it moves the row's own later
+#: draws deterministically).  128 halves the loop frequency of the
+#: original 64 while keeping the buffer small (2 KiB per row); at R =
+#: 256 that is the difference between ~4 and ~2 generator calls per
+#: kernel step.
 REFILL_STEPS = 128
 
 #: Column layout of :attr:`LockstepRaw.scalars` - one int64 row per
@@ -244,6 +259,252 @@ def materialize_raw(
             )
         )
     return results
+
+
+def lockstep_ssa(
+    C,
+    start,
+    generators: list,
+    plan,
+    deltas,
+    size: int,
+    budget: int,
+    cap: int | None = None,
+    sanitize: str | None = None,
+    row_ids=None,
+):
+    """Advance every row of counts matrix ``C`` by exact SSA events, in
+    lockstep: one NumPy step moves every active row by one non-null
+    event (see the module docstring).
+
+    ``C`` is the (k, S) int64 working matrix, updated in place; row
+    ``r`` starts at interaction ``start[r]`` and draws only from
+    ``generators[r]``.  ``plan`` supplies the non-null pair arrays
+    (``pair_i``, ``pair_j``, ``diag``) and ``deltas`` their aggregate
+    delta rows (the leap plan's).  ``size`` is the population size N
+    and ``budget`` the interaction budget.  A row stops when:
+
+    - its next event would pass ``budget``: it ends at the budget;
+    - it is silent: it stays at the position of its last event;
+    - it has fired ``cap`` events (``None``: no cap).
+
+    Randomness: a refill draws ``2 * min(cap, REFILL_STEPS)`` uniforms
+    from each live row's generator, two per step.  Since every row
+    starts at step 0 of the call, how many refills a row sees depends
+    on its own trajectory alone; draws a row does not reach are
+    discarded, which shifts that row's later stream deterministically.
+    ``sanitize`` names the backend a sanitizer error reports (``None``:
+    no checks); ``row_ids`` are the replicate indices it reports
+    (default: ``C``'s row numbers).
+
+    Returns ``(pos, events)``: int64 arrays of each row's final position
+    and the number of events it fired.  Naming verdicts are the
+    caller's.
+    """
+    np = _np
+    pair_i, pair_j, diag = plan.pair_i, plan.pair_j, plan.diag
+    n_rows, n_states = C.shape
+    total_pairs = size * (size - 1)
+    pos = np.array(start, dtype=np.int64)  # interactions, nulls included
+    events = np.zeros(n_rows, dtype=np.int64)  # non-null interactions
+    if row_ids is None:
+        row_ids = np.arange(n_rows, dtype=np.int64)
+    refill = REFILL_STEPS if cap is None else min(cap, REFILL_STEPS)
+
+    # ``deltas`` holds per-pair aggregate delta rows (-1 at the meeting
+    # pair, +1 at the result pair): one gather + one in-place add
+    # applies a whole step, replacing the four-way np.add.at scatter
+    # whose unbuffered per-index loop dominated the step at small
+    # widths.
+    pair_cols = np.concatenate((pair_i, pair_j))
+    n_pairs = pair_i.shape[0]
+
+    # Hot-loop state is *front-compacted*: the first ``n_act`` rows
+    # of every working array are the live rows (aligned with ``idx``),
+    # so the common no-drop step runs on contiguous view slices of
+    # preallocated buffers - no per-step gather/scatter into the full
+    # matrix, no per-step allocations, and the flat gather index table
+    # is a fixed prefix slice.  ``pos``/``events`` are written back
+    # only when a row is dropped (or capped); a row's event count is
+    # simply the number of steps it participated in (one event per
+    # step), tracked by ``steps_done``.
+    idx = np.arange(n_rows, dtype=np.int64)
+    C_act = C.copy()  # live working rows; written back to C on drop
+    C_act_flat = C_act.reshape(-1)
+    all_cols = (
+        np.arange(n_rows, dtype=np.int64) * n_states
+    )[:, None] + pair_cols
+    # ``pos`` is carried as float64 in the hot loop: positions stay
+    # exact (they are integers far below 2^53) and the geometric-gap
+    # arithmetic then runs entirely inside one preallocated float
+    # buffer, with no per-step astype allocation.
+    pos_f = pos.astype(np.float64)
+    buffer = np.empty((n_rows, 2 * refill))
+    log_u1 = np.empty((n_rows, refill))
+    cnt_full = np.empty((n_rows, 2 * n_pairs), dtype=np.int64)
+    w_full = np.empty((n_rows, n_pairs), dtype=np.int64)
+    cum_full = np.empty((n_rows, n_pairs), dtype=np.int64)
+    f_full = np.empty(n_rows, dtype=np.float64)
+    t_full = np.empty(n_rows, dtype=np.float64)
+    pick_full = np.empty((n_rows, n_pairs), dtype=bool)
+    fi_full = np.empty(n_rows, dtype=np.int64)
+    d_full = np.empty((n_rows, n_states), dtype=np.int64)
+    n_act = n_rows
+    step_in_buffer = refill  # forces a refill on the first step
+    steps_done = 0
+    neg_inv_total = -1.0 / total_pairs
+
+    def compact(keep: "np.ndarray") -> None:
+        """Move the surviving rows to the front of every buffer."""
+        nonlocal n_act
+        survivors = int(keep.sum())
+        C_act[:survivors] = C_act[:n_act][keep]
+        pos_f[:survivors] = pos_f[:n_act][keep]
+        buffer[:survivors] = buffer[:n_act][keep]
+        log_u1[:survivors] = log_u1[:n_act][keep]
+        cum_full[:survivors] = cum_full[:n_act][keep]
+        n_act = survivors
+
+    def views(n: int):
+        """The hot-loop view bundle over the first ``n`` rows.
+
+        Rebuilt only when the active set shrinks: every view is a
+        GC-tracked allocation, and creating tens of them per step kept
+        the young-generation collector cycling (and rescanning freshly
+        materialized result tuples) for the whole kernel.
+        """
+        cnt = cnt_full[:n]
+        cum = cum_full[:n]
+        t = t_full[:n]
+        weight = cum[:, -1] if n_pairs else np.zeros(n, dtype=np.int64)
+        return (
+            C_act[:n],
+            cnt,
+            cnt[:, :n_pairs],
+            cnt[:, n_pairs:],
+            w_full[:n],
+            cum,
+            weight,
+            f_full[:n],
+            t,
+            t[:, None],
+            pick_full[:n],
+            fi_full[:n],
+            d_full[:n],
+            pos_f[:n],
+            all_cols[:n],
+            log_u1[:n],
+            buffer[:n],
+        )
+
+    (
+        C_v, cnt_v, ci_v, cj_v, w_v, cum_v, weight, fb, t_v, t_col,
+        pick_v, fi_v, d_v, pos_v, cols_v, log_v, buf_v,
+    ) = views(n_act)
+
+    err_state = np.errstate(divide="ignore")
+    err_state.__enter__()  # hoisted: ln(0) = -inf is expected at p = 1
+    try:
+        while n_act and (cap is None or steps_done < cap):
+            if sanitize is not None:
+                # Kernel-step cadence: the previous step's add is the
+                # only writer of C_act, so corruption surfaces here.
+                _sanitize.check_counts_rows(
+                    sanitize, C_v, row_ids[idx], size, steps_done
+                )
+            # Both kernel gathers pass mode="clip", because under the
+            # default "raise" NumPy gathers a ``take`` with ``out=``
+            # into a temporary buffer first.  Clipping never changes a
+            # value, as no index is out of range: here each is a row
+            # offset r * n_states (r < n_rows) plus a pair column below
+            # n_states; below, the pick ``fi`` counts the columns with
+            # cum <= t = u2 * W.  t is computed from the float64
+            # rounding of W = cum[-1], and less_equal compares cum in
+            # that same rounding.  As u2 < 1 and W >= 1 on every row
+            # that reaches the pick (silent rows drop first),
+            # t < float64(W) at every N, so cum[-1] never counts and
+            # fi < n_pairs.
+            C_act_flat.take(cols_v, out=cnt_v, mode="clip")
+            np.subtract(cj_v, diag, out=w_v)
+            np.multiply(ci_v, w_v, out=w_v)
+            w_v.cumsum(axis=1, out=cum_v)
+            # A silent row (weight 0, including the n_pairs == 0
+            # degenerate protocol) is not tested for here: its
+            # geometric gap comes out +inf, so the budget branch below
+            # catches and drops it.  The uniforms it consumes on the
+            # way are drawn from its own generator - every other row's
+            # stream, and so every other result, is unchanged.
+
+            # -- two uniforms per active row per step, from its own
+            # generator, via a buffered refill; the log of the u1 half
+            # is taken once per refill, vectorized --
+            if step_in_buffer == refill:
+                for i in range(n_act):
+                    buf_v[i] = generators[idx[i]].random(2 * refill)
+                np.log(np.maximum(buf_v[:, 0::2], 1e-300), out=log_v)
+                step_in_buffer = 0
+            u1_log = log_v[:, step_in_buffer]
+            u2 = buf_v[:, 2 * step_in_buffer + 1]
+            step_in_buffer += 1
+
+            # -- geometric gap to the next non-null event, by inverse
+            # transform; p == 1 gives ln(0) = -inf and so gap 1, while
+            # a silent row (p == 0) gives gap +inf.  ``u1`` is clamped
+            # away from 0 so the finite ratios never overflow: with
+            # weight >= 1 the gap is at most ~690 * N(N-1), comfortably
+            # inside float64's exact-int range.  ``fb`` ends the block
+            # holding the candidate new positions
+            # (pos + floor(gap) + 1) --
+            np.multiply(weight, neg_inv_total, out=fb)
+            np.log1p(fb, out=fb)
+            np.divide(u1_log, fb, out=fb)
+            np.floor(fb, out=fb)
+            np.add(fb, 1.0, out=fb)
+            np.add(fb, pos_v, out=fb)
+
+            # -- budget exhausted mid-gap, or silent (gap +inf): write
+            # the row back and drop it.  A silent row stays at its last
+            # event; any other ends at the budget --
+            if fb.max() > budget:
+                over = fb > budget
+                oidx = idx[over]
+                events[oidx] = steps_done
+                C[oidx] = C_v[over]
+                pos[oidx] = np.where(weight[over] == 0, pos_v[over], budget)
+                keep = ~over
+                idx = idx[keep]
+                npos_kept = fb[keep]
+                u2 = u2[keep]  # fancy copy, taken before compaction
+                compact(keep)
+                if not n_act:
+                    continue
+                (
+                    C_v, cnt_v, ci_v, cj_v, w_v, cum_v, weight, fb, t_v,
+                    t_col, pick_v, fi_v, d_v, pos_v, cols_v, log_v, buf_v,
+                ) = views(n_act)
+                pos_v[:] = npos_kept
+            else:
+                pos_v[:] = fb
+
+            # -- categorical event pick over the row's true weights --
+            np.multiply(u2, weight, out=t_v)
+            np.less_equal(cum_v, t_col, out=pick_v)
+            np.add.reduce(pick_v, axis=1, out=fi_v)
+
+            # -- apply the transitions: each row moves by its event's
+            # aggregate delta row, added in place to the compacted
+            # working rows --
+            deltas.take(fi_v, axis=0, out=d_v, mode="clip")
+            np.add(C_v, d_v, out=C_v)
+            steps_done += 1
+    finally:
+        err_state.__exit__(None, None, None)
+
+    if n_act:  # rows that reached the cap
+        C[idx] = C_v
+        pos[idx] = pos_v
+        events[idx] = steps_done
+    return pos, events
 
 
 class BatchedEnsembleSimulator:
@@ -554,255 +815,58 @@ class BatchedEnsembleSimulator:
         np = _np
         started = time.perf_counter()
         plan = self._plan
-        n_mobile = plan.n_mobile
-        pair_i, pair_j, diag = plan.pair_i, plan.pair_j, plan.diag
-        size = self.population.size
-        total_pairs = size * (size - 1)
-        check_interval = self.check_interval
-        checking = self.problem is not None
         budget = max_interactions
-
-        n_rows = len(rows)
-        n_states = self._table.n_states
         C = np.asarray(rows, dtype=np.int64)
-        C_flat = C.reshape(-1)
-        pos = np.zeros(n_rows, dtype=np.int64)  # interactions, nulls included
-        events = np.zeros(n_rows, dtype=np.int64)  # non-null interactions
+        n_rows = len(C)
+        pos, events = lockstep_ssa(
+            C,
+            np.zeros(n_rows, dtype=np.int64),
+            [np.random.default_rng(seed) for seed in seeds],
+            plan,
+            _leap_plan_for(self.protocol, plan).deltas,
+            self.population.size,
+            budget,
+            sanitize="batch" if self.sanitize else None,
+        )
+
+        # Naming is solved iff a row is silent with all mobile counts
+        # <= 1; the verdict can only be delivered at a check boundary,
+        # the first one at/after the last event (capped at the budget) -
+        # the position the per-run backends report.  Every other row
+        # ends at the budget.  With no cap, the kernel stops a row short
+        # of the budget only when it is silent; a row at the budget is
+        # silent only if its last event, landing exactly there,
+        # silenced it.
         conv_at = np.full(n_rows, -1, dtype=np.int64)  # -1: not converged
-
-        # Per-pair aggregate delta rows (-1 at the meeting pair, +1 at
-        # the result pair): one gather + one in-place add applies a
-        # whole step, replacing the four-way np.add.at scatter whose
-        # unbuffered per-index loop dominated the step at small widths.
-        delta_mat = _leap_plan_for(self.protocol, plan).deltas
-        pair_cols = np.concatenate((pair_i, pair_j))
-        n_pairs = pair_i.shape[0]
-
-        # Per-row generators: a row's stream is a function of its own
-        # seed, so results are invariant under batching and chunking.
-        generators = [np.random.default_rng(seed) for seed in seeds]
-
-        # Hot-loop state is *front-compacted*: the first ``n_act`` rows
-        # of every working array are the live rows (aligned with
-        # ``idx``), so the common no-drop step runs on contiguous view
-        # slices of preallocated buffers - no per-step gather/scatter
-        # into the full matrix, no per-step allocations, and the flat
-        # gather index table is a fixed prefix slice.  ``pos``/``events``
-        # are written back only when a row is dropped; a surviving row's
-        # event count is simply the number of steps it participated in
-        # (one event per step), tracked by ``steps_done``.
-        idx = np.arange(n_rows, dtype=np.int64)
-        C_act = C.copy()  # live working rows; written back to C on drop
-        C_act_flat = C_act.reshape(-1)
-        all_cols = (
-            np.arange(n_rows, dtype=np.int64) * n_states
-        )[:, None] + pair_cols
-        # ``pos`` is carried as float64 in the hot loop: positions stay
-        # exact (they are integers far below 2^53) and the geometric-gap
-        # arithmetic then runs entirely inside one preallocated float
-        # buffer, with no per-step astype allocation.
-        pos_f = np.zeros(n_rows, dtype=np.float64)
-        buffer = np.empty((n_rows, 2 * REFILL_STEPS))
-        log_u1 = np.empty((n_rows, REFILL_STEPS))
-        cnt_full = np.empty((n_rows, 2 * n_pairs), dtype=np.int64)
-        w_full = np.empty((n_rows, n_pairs), dtype=np.int64)
-        cum_full = np.empty((n_rows, n_pairs), dtype=np.int64)
-        f_full = np.empty(n_rows, dtype=np.float64)
-        t_full = np.empty(n_rows, dtype=np.float64)
-        pick_full = np.empty((n_rows, n_pairs), dtype=bool)
-        fi_full = np.empty(n_rows, dtype=np.int64)
-        d_full = np.empty((n_rows, n_states), dtype=np.int64)
-        n_act = n_rows
-        step_in_buffer = REFILL_STEPS  # forces a refill on the first step
-        steps_done = 0
-        neg_inv_total = -1.0 / total_pairs
-
-        def compact(keep: "np.ndarray") -> None:
-            """Move the surviving rows to the front of every buffer."""
-            nonlocal n_act
-            survivors = int(keep.sum())
-            C_act[:survivors] = C_act[:n_act][keep]
-            pos_f[:survivors] = pos_f[:n_act][keep]
-            buffer[:survivors] = buffer[:n_act][keep]
-            log_u1[:survivors] = log_u1[:n_act][keep]
-            cum_full[:survivors] = cum_full[:n_act][keep]
-            n_act = survivors
-
-        def views(n: int):
-            """The hot-loop view bundle over the first ``n`` rows.
-
-            Rebuilt only when the active set shrinks: every view is a
-            GC-tracked allocation, and creating tens of them per step
-            kept the young-generation collector cycling (and rescanning
-            freshly materialized result tuples) for the whole kernel.
-            """
-            cnt = cnt_full[:n]
-            cum = cum_full[:n]
-            t = t_full[:n]
-            weight = cum[:, -1] if n_pairs else np.zeros(n, dtype=np.int64)
-            return (
-                C_act[:n],
-                cnt,
-                cnt[:, :n_pairs],
-                cnt[:, n_pairs:],
-                w_full[:n],
-                cum,
-                weight,
-                f_full[:n],
-                t,
-                t[:, None],
-                pick_full[:n],
-                fi_full[:n],
-                d_full[:n],
-                pos_f[:n],
-                all_cols[:n],
-                log_u1[:n],
-                buffer[:n],
+        if self.problem is not None:
+            distinct = (C[:, : plan.n_mobile] < 2).all(axis=1)
+            silent = pos < budget
+            late = np.flatnonzero(distinct & ~silent)
+            if late.size:
+                C_late = C[late]
+                silent[late] = (
+                    C_late[:, plan.pair_i]
+                    * (C_late[:, plan.pair_j] - plan.diag)
+                ).sum(axis=1) == 0
+            done = np.flatnonzero(silent & distinct)
+            spos = pos[done]
+            conv_at[done] = np.minimum(
+                spos + (-spos) % self.check_interval, budget
             )
-
-        (
-            C_v, cnt_v, ci_v, cj_v, w_v, cum_v, weight, fb, t_v, t_col,
-            pick_v, fi_v, d_v, pos_v, cols_v, log_v, buf_v,
-        ) = views(n_act)
-
-        sanitizing = self.sanitize
-        err_state = np.errstate(divide="ignore")
-        err_state.__enter__()  # hoisted: ln(0) = -inf is expected at p = 1
-        try:
-            while n_act:
-                if sanitizing:
-                    # Kernel-step cadence: the previous step's add is
-                    # the only writer of C_act, so corruption surfaces
-                    # here.
-                    _sanitize.check_counts_rows(
-                        "batch", C_v, idx, size, steps_done
-                    )
-                # Both kernel gathers pass mode="clip", because under
-                # the default "raise" NumPy gathers a ``take`` with
-                # ``out=`` into a temporary buffer first.  Clipping never
-                # changes a value, as no index is out of range: here
-                # each is a row offset r * n_states (r < n_rows) plus a
-                # pair column below n_states; below, the pick ``fi``
-                # counts the columns with cum <= t = u2 * W.  t is
-                # computed from the float64 rounding of W = cum[-1],
-                # and less_equal compares cum in that same rounding.
-                # As u2 < 1 and W >= 1 on every row that reaches the
-                # pick (silent rows finalize first), t < float64(W) at
-                # every N, so cum[-1] never counts and fi < n_pairs.
-                C_act_flat.take(cols_v, out=cnt_v, mode="clip")
-                np.subtract(cj_v, diag, out=w_v)
-                np.multiply(ci_v, w_v, out=w_v)
-                w_v.cumsum(axis=1, out=cum_v)
-                # A silent row (weight 0, including the n_pairs == 0
-                # degenerate protocol) is not tested for here: its
-                # geometric gap comes out +inf, so the budget branch
-                # below catches and finalizes it.  The uniforms it
-                # consumes on the way are drawn from its own generator,
-                # which is never touched again - every other row's
-                # stream, and so every result, is unchanged.
-
-                # -- two uniforms per active row per step, from its own
-                # generator, via a buffered refill; the log of the u1
-                # half is taken once per refill, vectorized --
-                if step_in_buffer == REFILL_STEPS:
-                    for i in range(n_act):
-                        buf_v[i] = generators[idx[i]].random(
-                            2 * REFILL_STEPS
-                        )
-                    np.log(
-                        np.maximum(buf_v[:, 0::2], 1e-300), out=log_v
-                    )
-                    step_in_buffer = 0
-                u1_log = log_v[:, step_in_buffer]
-                u2 = buf_v[:, 2 * step_in_buffer + 1]
-                step_in_buffer += 1
-
-                # -- geometric gap to the next non-null event, by inverse
-                # transform; p == 1 gives ln(0) = -inf and so gap 1,
-                # while a silent row (p == 0) gives gap +inf.  ``u1`` is
-                # clamped away from 0 so the finite ratios never
-                # overflow: with weight >= 1 the gap is at most
-                # ~690 * N(N-1), comfortably inside float64's exact-int
-                # range.  ``fb`` ends the block holding the candidate
-                # new positions (pos + floor(gap) + 1) --
-                np.multiply(weight, neg_inv_total, out=fb)
-                np.log1p(fb, out=fb)
-                np.divide(u1_log, fb, out=fb)
-                np.floor(fb, out=fb)
-                np.add(fb, 1.0, out=fb)
-                np.add(fb, pos_v, out=fb)
-
-                # -- budget exhausted mid-gap (or silent: gap +inf);
-                # finalize and drop the row --
-                if fb.max() > budget:
-                    over = fb > budget
-                    oidx = idx[over]
-                    events[oidx] = steps_done
-                    C[oidx] = C_v[over]
-                    pos[oidx] = budget
-                    if checking:
-                        # Naming is solved iff silent with all mobile
-                        # counts <= 1; the verdict can only be delivered
-                        # at a check boundary, the first one at/after
-                        # the last event (capped at the budget) - the
-                        # position the per-run backends report.  A row
-                        # that merely ran out of budget ends not
-                        # silent, so its check cannot pass.
-                        wz = weight[over] == 0
-                        if wz.any():
-                            sidx = oidx[wz]
-                            spos = pos_v[over][wz].astype(np.int64)
-                            distinct = (
-                                C[sidx, :n_mobile] < 2
-                            ).all(axis=1)
-                            at = np.minimum(
-                                spos + (-spos) % check_interval, budget
-                            )
-                            converged = sidx[distinct]
-                            conv_at[converged] = at[distinct]
-                            pos[converged] = at[distinct]
-                    keep = ~over
-                    idx = idx[keep]
-                    npos_kept = fb[keep]
-                    u2 = u2[keep]  # fancy copy, taken before compaction
-                    compact(keep)
-                    if not n_act:
-                        continue
-                    (
-                        C_v, cnt_v, ci_v, cj_v, w_v, cum_v, weight, fb,
-                        t_v, t_col, pick_v, fi_v, d_v, pos_v, cols_v,
-                        log_v, buf_v,
-                    ) = views(n_act)
-                    pos_v[:] = npos_kept
-                else:
-                    pos_v[:] = fb
-
-                # -- categorical event pick over the row's true weights --
-                np.multiply(u2, weight, out=t_v)
-                np.less_equal(cum_v, t_col, out=pick_v)
-                np.add.reduce(pick_v, axis=1, out=fi_v)
-
-                # -- apply the transitions: each row moves by its
-                # event's aggregate delta row, added in place to the
-                # compacted working rows --
-                delta_mat.take(fi_v, axis=0, out=d_v, mode="clip")
-                np.add(C_v, d_v, out=C_v)
-                steps_done += 1
-        finally:
-            err_state.__exit__(None, None, None)
-
-        if sanitizing:
+        if self.sanitize:
             _sanitize.check_counts_rows(
                 "batch",
                 C,
                 np.arange(n_rows, dtype=np.int64),
-                size,
-                steps_done,
+                self.population.size,
+                int(events.max(initial=0)),
             )
 
         elapsed = time.perf_counter() - started
         scalars = np.zeros((n_rows, N_SCALARS), dtype=np.int64)
-        scalars[:, COL["interactions"]] = pos
+        scalars[:, COL["interactions"]] = np.where(
+            conv_at >= 0, conv_at, budget
+        )
         scalars[:, COL["events"]] = events
         scalars[:, COL["conv_at"]] = conv_at
         scalars[:, COL["leader_pos"]] = [

@@ -32,22 +32,21 @@ tau-leap window:
     that would push any count negative is discarded and redrawn with
     tau halved (counted in ``RunStats.repairs``), exactly as in the
     per-run leap backend.
-4.  **Per-row exact-SSA fallback.**  Rows whose adaptive tau collapses
-    below ``min_tau``, whose window would hold fewer than
+4.  **Exact-SSA bursts.**  Rows whose adaptive tau collapses below
+    ``min_tau``, whose window would hold fewer than
     ``MIN_WINDOW_EVENTS`` expected events (the sparse endgame near
     silence), or whose repair loop collapsed, advance by a burst of
     *exact* SSA steps instead - geometric null-gap plus categorical
     event pick, the same chain the counts backend samples - and are
-    re-examined for leaping at the next refresh.  A burst
-    (:func:`_exact_burst`) carries the row's pair weights from step to
-    step and recomputes only those of the pairs the last event touched,
-    read from sparse per-event tables built once per kernel call; an
-    event touching many pairs recomputes the whole row in one NumPy
-    expression instead.  Its draws are those of recomputing the whole
-    row every step, so no row's stream depends on it.  ``RunStats.
-    ssa_fallback_rows`` records (per row: 0 or 1) whether a row ever
-    took the exact path, so ensembles report how many replicates
-    leapt versus stepped.
+    re-examined for leaping at the next refresh.  All rows that burst
+    at one refresh run together on the batch engine's lockstep kernel
+    (:func:`~repro.engine.batch.lockstep_ssa`), one NumPy step per
+    event, for up to :data:`~repro.engine.leap.EXACT_BURST` events; a
+    row that falls silent stays at its last event and is finalized at
+    the next refresh, and one whose next event would pass the budget
+    ends there.  ``RunStats.ssa_fallback_rows`` records (per row: 0 or
+    1) whether a row ever took the exact path, so ensembles report how
+    many replicates leapt versus stepped.
 
 Randomness and reproducibility
 ------------------------------
@@ -55,10 +54,14 @@ Randomness and reproducibility
 As in the batch engine, every row draws only from its own
 :class:`numpy.random.Generator`, seeded with its scheduler's seed, and
 every per-row quantity (tau, propensities, repair decisions) is computed
-from that row's state alone.  A row's trajectory is therefore a function
-of its seed - independent of the batch width and of how an ensemble is
-chunked across worker processes.  Serial, parallel and single-run
-executions of the same seed are bit-identical.
+from that row's state alone.  A window draws its multinomial from the
+row's generator; a burst draws exactly ``2 * EXACT_BURST`` uniforms
+from it up front (per step, one for the inverse-transform gap and one
+for the event pick), however many events the burst fires and whichever
+rows burst with it.  A row's trajectory is therefore a function of its
+seed - independent of the batch width, of which rows share its bursts,
+and of how an ensemble is chunked across worker processes.  Serial,
+parallel and single-run executions of the same seed are bit-identical.
 
 Exactness contract
 ------------------
@@ -76,8 +79,9 @@ regimes.
 
 When armed, the sanitizer checks every active counts row (nonnegative
 entries summing to the population size) at *window-refresh* granularity
-- the bleap analog of the leap backend's per-refresh checks - plus once
-on the final matrix.  The post-silence-change invariant is enforced
+- the bleap analog of the leap backend's per-refresh checks - at every
+step of a burst, and once on the final matrix; every check reports the
+``bleap`` backend.  The post-silence-change invariant is enforced
 structurally: a row observed silent is finalized and dropped at that
 same refresh, so no later window can touch it.
 
@@ -101,6 +105,7 @@ from repro.engine.batch import (
     N_SCALARS,
     BatchedEnsembleSimulator,
     LockstepRaw,
+    lockstep_ssa,
     materialize_raw,
 )
 from repro.engine.configuration import Configuration
@@ -129,118 +134,6 @@ try:  # NumPy powers the windowed kernel; without it the backend delegates.
     import numpy as _np
 except ImportError:  # pragma: no cover - the test image ships NumPy
     _np = None
-
-#: Events touching more pairs than this make :func:`_exact_burst`
-#: recompute the whole weight row in one NumPy expression: past about
-#: this many pairs, updating each touched pair in Python costs more than
-#: the vectorized row.
-_WIDE_EVENT_PAIRS = 16
-
-
-class _BurstTables:
-    """Sparse per-event tables of the exact-SSA burst, built from a plan
-    once per kernel call.
-
-    ``rows[f]`` lists event ``f``'s nonzero ``(state, delta)`` entries
-    (row ``f`` of the leap plan's dense delta matrix).  ``touched[f]``
-    lists ``(pair, i, j, diag)`` for every non-null pair whose weight
-    ``c_i * (c_j - diag)`` event ``f`` can change, or is ``None`` for a
-    *wide* event, one touching more than :data:`_WIDE_EVENT_PAIRS`
-    pairs.
-    """
-
-    __slots__ = ("rows", "touched")
-
-    def __init__(self, plan, deltas) -> None:
-        pair_i = plan.pair_i.tolist()
-        pair_j = plan.pair_j.tolist()
-        diag = plan.diag.tolist()
-        pairs_of: list[list[int]] = [[] for _ in range(plan.n_states)]
-        for g, (i, j) in enumerate(zip(pair_i, pair_j)):
-            pairs_of[i].append(g)
-            if j != i:
-                pairs_of[j].append(g)
-        fs, ss = _np.nonzero(deltas)
-        rows: list[list[tuple[int, int]]] = [[] for _ in pair_i]
-        for f, s, d in zip(fs.tolist(), ss.tolist(), deltas[fs, ss].tolist()):
-            rows[f].append((s, d))
-        touched: list[list[tuple[int, int, int, int]] | None] = []
-        for row in rows:
-            hit = sorted({g for s, _ in row for g in pairs_of[s]})
-            touched.append(
-                None
-                if len(hit) > _WIDE_EVENT_PAIRS
-                else [(g, pair_i[g], pair_j[g], diag[g]) for g in hit]
-            )
-        self.rows = rows
-        self.touched = touched
-
-
-def _exact_burst(rng, c, pos, budget, total_pairs, plan, tables):
-    """Advance counts row ``c`` in place by up to
-    :data:`~repro.engine.leap.EXACT_BURST` exact SSA events, starting
-    at interaction ``pos``.
-
-    Draw order: each step draws the gap to the next non-null
-    interaction with one ``rng.geometric(total / total_pairs)``, then
-    picks the event with one ``rng.random()`` - the counts chain's exact
-    sampler, so a row's stream does not depend on how a step is
-    computed.
-
-    Event pick: ``searchsorted(side="right")`` over the float64
-    cumulative pair weights, summed in NumPy.  A Python running sum
-    would pay interpreted work for every pair on every step, which loses
-    badly on plans with many pairs.  ``w`` holds the weights as the
-    float64 values ``np.cumsum(weights, dtype=np.float64)`` casts the
-    int64 row to, so its sequential accumulation is that cumsum, bit
-    for bit.  The total weight, position and event count are exact
-    Python ints.
-
-    Updates: an event changes only the weights of the pairs it touches
-    (``tables.touched``), so only those are recomputed and the total is
-    adjusted by their difference.  A wide event (``touched[f] is
-    None``) recomputes the whole row in one NumPy expression instead.
-
-    Stops early when the row falls silent (the next refresh finalizes
-    it) or when the next event would pass ``budget`` (the row then ends
-    exactly at the budget).  Returns ``(pos, events)``.
-    """
-    np = _np
-    pair_i, pair_j, diag = plan.pair_i, plan.pair_j, plan.diag
-    rows, touched = tables.rows, tables.touched
-    accumulate = np.add.accumulate
-    counts = c.tolist()
-    exact = c[pair_i] * (c[pair_j] - diag)
-    total = int(exact.sum())
-    w = exact.astype(np.float64)
-    events = 0
-    while events < EXACT_BURST and pos < budget and total:
-        gap = int(rng.geometric(total / total_pairs))
-        if pos + gap > budget:
-            pos = budget
-            break
-        pos += gap
-        cum = accumulate(w)
-        f = int(cum.searchsorted(rng.random() * float(cum[-1]), "right"))
-        pairs = touched[f]
-        if pairs is not None:
-            for _, i, j, dg in pairs:
-                total -= counts[i] * (counts[j] - dg)
-        for s, d in rows[f]:
-            counts[s] += d
-            c[s] = counts[s]
-        if pairs is None:
-            exact = c[pair_i] * (c[pair_j] - diag)
-            total = int(exact.sum())
-            w = exact.astype(np.float64)
-        else:
-            for g, i, j, dg in pairs:
-                new = counts[i] * (counts[j] - dg)
-                total += new
-                w[g] = new
-        events += 1
-    return pos, events
-
 
 class BatchedLeapSimulator:
     """Lockstep tau-leaping simulator for ensembles of replicate runs.
@@ -500,14 +393,14 @@ class BatchedLeapSimulator:
         idx = np.arange(n_rows, dtype=np.int64)  # active rows
         refresh = 0
         sanitizing = self.sanitize
-        tables = None  # _BurstTables, built when a row first bursts
 
         while idx.size:
             refresh += 1
             if sanitizing:
                 # Window-refresh cadence: between refreshes the matrix
                 # moves only through vetted (repaired) window applies or
-                # exact per-row bursts, so corruption surfaces here.
+                # exact bursts (checked at every step), so corruption
+                # surfaces here.
                 _sanitize.check_counts_rows(
                     "bleap", C[idx], idx, size, refresh
                 )
@@ -617,20 +510,30 @@ class BatchedLeapSimulator:
                     if not applied:
                         ssa_sel.append(a)
 
-            # -- per-row exact-SSA burst (see _exact_burst).  Serves
-            # collapsed-tau churn, small populations and the sparse
-            # endgame; the row rejoins tau estimation at the next
-            # refresh --
-            if ssa_sel and tables is None:
-                tables = _BurstTables(plan, deltas)
-            for a in ssa_sel:
-                r = idx[a]
-                ssa_rows[r] = True
-                pos[r], fired = _exact_burst(
-                    generators[r], C[r], int(pos[r]), budget,
-                    total_pairs, plan, tables,
+            # -- exact-SSA burst on the batch engine's lockstep kernel:
+            # every bursting row advances together by up to EXACT_BURST
+            # events.  Serves collapsed-tau churn, small populations
+            # and the sparse endgame; a row that falls silent stays at
+            # its last event and is finalized at the next refresh, any
+            # other rejoins tau estimation there --
+            if ssa_sel:
+                rs = idx[ssa_sel]
+                block = C[rs]
+                pos[rs], fired = lockstep_ssa(
+                    block,
+                    pos[rs],
+                    [generators[r] for r in rs],
+                    plan,
+                    deltas,
+                    size,
+                    budget,
+                    cap=EXACT_BURST,
+                    sanitize="bleap" if sanitizing else None,
+                    row_ids=rs,
                 )
-                events[r] += fired
+                C[rs] = block
+                events[rs] += fired
+                ssa_rows[rs] = True
 
             # -- budget exhausted: drop the row from the active set (a
             # final silence check below catches runs ending exactly at

@@ -138,6 +138,16 @@ class Configuration:
             s for i, s in enumerate(self.states) if i != self.leader_index
         )
 
+    def mobile_head(self, limit: int) -> tuple[State, ...]:
+        """The first ``limit`` entries of :attr:`mobile_states`, in
+        O(limit)."""
+        head = self.states[: limit + 1]
+        if self.leader_index is not None:
+            head = tuple(
+                s for i, s in enumerate(head) if i != self.leader_index
+            )
+        return head[:limit]
+
     def state_of(self, agent: AgentId) -> State:
         """State of a single agent."""
         return self.states[agent]

@@ -327,6 +327,15 @@ class CountsConfiguration(Configuration):
     def names_distinct(self) -> bool:
         return all(k < 2 for _, k in self._pairs)
 
+    def mobile_head(self, limit: int) -> tuple:
+        # The pairs hold the mobile states alone, in expansion order.
+        head: list = []
+        for state, k in self._pairs:
+            if len(head) >= limit:
+                break
+            head.extend([state] * min(k, limit - len(head)))
+        return tuple(head)
+
     # -- identity: interchangeable with eager configurations -----------
 
     def __eq__(self, other) -> bool:

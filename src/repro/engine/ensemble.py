@@ -52,13 +52,14 @@ from repro.schedulers.base import Scheduler
 #: Smallest population for which ``backend="auto"`` picks the windowed
 #: ``"bleap"`` engine over the exact ``"batch"`` engine.  Small
 #: populations rarely clear the leap thresholds, so bleap advances most
-#: rows by per-row exact-SSA bursts; large ones collapse whole windows of
-#: ``leap_eps * N`` events into one draw.  This is not the measured
+#: rows by lockstep exact-SSA bursts; large ones collapse whole windows
+#: of ``leap_eps * N`` events into one draw.  This is not the measured
 #: crossover.  For Prop. 12 at P = 8, R = 64, 10 N horizons from a
-#: uniform start (2-core x86 box, wall time), batch takes 0.9-1.0 s at
-#: N = 10^4 and bleap 1.3-1.4 s; bleap wins from about N = 1.3 * 10^4.
-#: The threshold stays at 10^4 because moving it changes which engine,
-#: and so which results, ``"auto"`` gives a seed.
+#: uniform start (2-core x86 box, wall time, best to worst of 3), batch
+#: takes 0.62-0.74 s at N = 10^4 and bleap 0.29-0.46 s; the two tie at
+#: about N = 6 * 10^3 (0.57-0.58 s each).  The threshold stays at 10^4
+#: because moving it changes which engine, and so which results,
+#: ``"auto"`` gives a seed.
 BLEAP_MIN_POPULATION = 10_000
 
 #: Smallest population for which ``backend="auto"`` picks the per-seed

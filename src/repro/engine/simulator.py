@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol as TypingProtocol, Sequence
+from typing import Callable, Protocol as TypingProtocol
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
@@ -188,21 +188,24 @@ class SimulationResult:
         return (
             f"{status} after {self.interactions} interactions "
             f"({self.non_null_interactions} non-null); "
-            f"names = {abbreviate_states(self.names())}"
+            f"names = {abbreviate_states(self.final_configuration)}"
         )
 
 
-def abbreviate_states(states: Sequence) -> str:
-    """``states`` as ``(s1, s2, ...)``, cut after
+def abbreviate_states(config: Configuration) -> str:
+    """``config``'s mobile states as ``(s1, s2, ...)``, cut after
     ``SimulationResult._STR_NAME_LIMIT`` entries.
 
     A cut list ends in ``... (k more)``, so a large population prints
-    one short line instead of N reprs.
+    one short line instead of N reprs.  Only the shown head is read
+    (:meth:`Configuration.mobile_head`), so a lazy counts-backed
+    configuration is never expanded.
     """
     limit = SimulationResult._STR_NAME_LIMIT
-    shown = ", ".join(repr(s) for s in states[:limit])
-    if len(states) > limit:
-        shown += f", ... ({len(states) - limit} more)"
+    n_mobile = len(config) - config.has_leader
+    shown = ", ".join(repr(s) for s in config.mobile_head(limit))
+    if n_mobile > limit:
+        shown += f", ... ({n_mobile - limit} more)"
     return f"({shown})"
 
 

@@ -131,7 +131,10 @@ def job_key(spec: JobSpec) -> str | None:
         return None
     h = hashlib.sha256()
     parts = (
-        "repro-job-v1",
+        # The version moves whenever an engine's per-seed results change
+        # (v2: bleap's exact-SSA bursts draw on the lockstep kernel), so
+        # a persisted cache never replays results of older draws.
+        "repro-job-v2",
         fingerprint,
         f"{spec.population.n_mobile}:{int(spec.population.has_leader)}",
         callable_token(spec.scheduler_factory),

@@ -13,9 +13,16 @@ batch size, batch composition and process chunking.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.asymmetric import AsymmetricNamingProtocol
+from repro.core.leader_uniform import (
+    CounterLeaderState,
+    LeaderUniformNamingProtocol,
+)
+from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.batch import BatchedEnsembleSimulator
 from repro.engine.configuration import Configuration
 from repro.engine.counts import CountSimulator
@@ -396,3 +403,64 @@ class TestDifferentialAgainstCounts:
         assert d_stat < bound, (
             f"KS statistic {d_stat:.3f} exceeds bound {bound:.3f}"
         )
+
+
+#: (protocol, mobile agents, start state, leader state, problem,
+#: check_interval, budget) of each cell :class:`TestDrawsPinned` hashes:
+#: converging runs of Props. 12, 13 and 14, runs that exhaust their
+#: budget (P < N cannot name), a run with no problem to certify and one
+#: whose verdicts round up to an odd check interval.
+PINNED_CELLS = (
+    (AsymmetricNamingProtocol(8), 8, 0, None, True, None, 200_000),
+    (AsymmetricNamingProtocol(4), 6, 0, None, True, None, 5_000),
+    (AsymmetricNamingProtocol(8), 8, 0, None, False, None, 3_000),
+    (AsymmetricNamingProtocol(8), 8, 0, None, True, 7, 200_000),
+    (SymmetricGlobalNamingProtocol(8), 4, 0, None, True, None, 200_000),
+    (
+        LeaderUniformNamingProtocol(8), 8, 8, CounterLeaderState(1), True,
+        None, 200_000,
+    ),
+)
+
+
+class TestDrawsPinned:
+    """Every batch result at 16 seeds per cell, hashed: the digest was
+    computed before the lockstep loop became the module-level
+    :func:`~repro.engine.batch.lockstep_ssa` shared with bleap's
+    bursts, so it holds the batch engine's draws and verdicts to what
+    they were."""
+
+    def test_results_digest(self):
+        digest = hashlib.sha256()
+        for (
+            protocol, n, start, leader, problem, interval, budget,
+        ) in PINNED_CELLS:
+            population = Population(n, has_leader=leader is not None)
+            simulator = BatchedEnsembleSimulator(
+                protocol,
+                population,
+                RandomPairScheduler(population, seed=0),
+                NamingProblem() if problem else None,
+                check_interval=interval,
+            )
+            seeds = range(16)
+            results = simulator.run_replicates(
+                [Configuration.uniform(population, start, leader)] * 16,
+                [RandomPairScheduler(population, seed=s) for s in seeds],
+                max_interactions=budget,
+            )
+            assert simulator.last_run_lockstep
+            for r in results:
+                digest.update(
+                    repr(
+                        (
+                            r.converged,
+                            r.convergence_interaction,
+                            r.interactions,
+                            r.non_null_interactions,
+                            r.final_configuration.states,
+                            r.final_configuration.leader_index,
+                        )
+                    ).encode()
+                )
+        assert digest.hexdigest()[:16] == "05db695230c00d92"

@@ -48,6 +48,7 @@ from repro.errors import (
 from repro.schedulers.random_pair import RandomPairScheduler
 from repro.schedulers.round_robin import RoundRobinScheduler
 from tests.engine.ks import ks_bound, ks_statistic
+from tests.oracles import oracle_lockstep_row
 
 
 def build(n, bound=8, seed=0, problem=True, **kwargs):
@@ -252,38 +253,18 @@ class TestSeedIdentity:
         assert runs[1] == runs[3]
 
 
-def _reference_burst(deltas):
-    """Reference for :func:`repro.engine.bleap._exact_burst`: the
-    kernel's earlier per-row exact-SSA loop, which recomputes the whole
-    weight row on every step, verbatim but for taking the row's position
-    as an int and returning ``(pos, events)``."""
-
-    def burst_fn(rng, c_row, pos, budget, total_pairs, plan, tables):
-        pair_i, pair_j, diag = plan.pair_i, plan.pair_j, plan.diag
-        burst = 0
-        while burst < EXACT_BURST and pos < budget:
-            wr = c_row[pair_i] * (c_row[pair_j] - diag)
-            wt = int(wr.sum())
-            if wt == 0:
-                break  # the next refresh finalizes silence
-            gap = int(rng.geometric(wt / total_pairs))
-            if pos + gap > budget:
-                pos = budget
-                break
-            pos += gap
-            cum = np.cumsum(wr, dtype=np.float64)
-            f = int(
-                np.searchsorted(
-                    cum,
-                    rng.random() * float(cum[-1]),
-                    side="right",
-                )
-            )
-            c_row += deltas[f]
-            burst += 1
-        return pos, burst
-
-    return burst_fn
+def _oracle_kernel(
+    C, start, generators, plan, deltas, size, budget, cap=None, **_
+):
+    """:func:`repro.engine.batch.lockstep_ssa` one row at a time, on the
+    scalar oracle."""
+    pos = np.array(start, dtype=np.int64)
+    events = np.zeros(len(C), dtype=np.int64)
+    for r in range(len(C)):
+        pos[r], events[r] = oracle_lockstep_row(
+            C[r], int(pos[r]), generators[r], plan, deltas, size, budget, cap
+        )
+    return pos, events
 
 
 #: name -> (protocol, mobile agents, start state, leader state, budget,
@@ -299,7 +280,7 @@ BURST_CASES = {
     ),
     "prop13-P64-N1e4": (
         SymmetricGlobalNamingProtocol(64), 10_000, 0, None, 100_000,
-        range(2), False, "wide-events",
+        range(2), False, "leap-and-ssa",
     ),
     "prop14-P16-leader": (
         LeaderUniformNamingProtocol(16), 16, 16, CounterLeaderState(1),
@@ -320,11 +301,13 @@ BURST_CASES = {
 }
 
 
-def _burst_raw(name):
-    """Run one :data:`BURST_CASES` case natively; returns (raw, simulator)."""
-    protocol, n, start, leader, budget, seeds, sanitize, _ = BURST_CASES[
-        name
-    ]
+def _burst_raw(name, seeds=None):
+    """Run one :data:`BURST_CASES` case natively, on its own seeds or on
+    ``seeds``; returns (raw, simulator)."""
+    protocol, n, start, leader, budget, case_seeds, sanitize, _ = (
+        BURST_CASES[name]
+    )
+    seeds = case_seeds if seeds is None else seeds
     population = Population(n, has_leader=leader is not None)
     simulator = BatchedLeapSimulator(
         protocol,
@@ -343,29 +326,32 @@ def _burst_raw(name):
 
 
 class TestExactBurst:
-    """``_exact_burst`` updates only the touched pair weights, yet draws
-    the same stream as the whole-row loop it replaced: every count and
-    scalar of every row must match, on narrow, wide and leader plans,
-    sanitized, and on bursts cut short by the budget or by silence."""
+    """Bursts run on the batch engine's lockstep kernel, yet every row
+    draws exactly what the scalar oracle draws: every count and scalar
+    of every row must match, on Prop. 12, 13 and 14 plans, sanitized,
+    and on bursts cut short by the budget or by silence."""
 
     @pytest.mark.parametrize("name", list(BURST_CASES))
     def test_matches_reference_burst(self, name, monkeypatch):
         outcomes = []
-        incremental = bleap._exact_burst
+        kernel = bleap.lockstep_ssa
 
-        def spy(rng, c, pos, budget, total_pairs, plan, tables):
-            pos, events = incremental(
-                rng, c, pos, budget, total_pairs, plan, tables
+        def spy(C, start, generators, plan, deltas, size, budget, **kw):
+            assert kw["cap"] == EXACT_BURST
+            pos, events = kernel(
+                C, start, generators, plan, deltas, size, budget, **kw
             )
-            weight = int((c[plan.pair_i] * (c[plan.pair_j] - plan.diag)).sum())
-            outcomes.append((events, pos == budget, weight == 0))
+            weight = (C[:, plan.pair_i] * (C[:, plan.pair_j] - plan.diag)).sum(
+                axis=1
+            )
+            outcomes.extend(
+                zip(events.tolist(), (pos == budget).tolist(), weight == 0)
+            )
             return pos, events
 
-        monkeypatch.setattr(bleap, "_exact_burst", spy)
+        monkeypatch.setattr(bleap, "lockstep_ssa", spy)
         raw, simulator = _burst_raw(name)
-        monkeypatch.setattr(
-            bleap, "_exact_burst", _reference_burst(simulator._leap.deltas)
-        )
+        monkeypatch.setattr(bleap, "lockstep_ssa", _oracle_kernel)
         reference, _ = _burst_raw(name)
         assert np.array_equal(raw.counts, reference.counts)
         assert np.array_equal(raw.scalars, reference.scalars)
@@ -378,15 +364,92 @@ class TestExactBurst:
             assert leaps.any() and raw.scalars[:, COL["ssa_rows"]].any()
         elif expect == "ssa-only":
             assert not leaps.any()
-        elif expect == "wide-events":
-            tables = bleap._BurstTables(
-                simulator._plan, simulator._leap.deltas
-            )
-            assert None in tables.touched
         elif expect == "budget-mid-burst":
             assert any(at_budget and not silent for _, at_budget, silent in cut)
         elif expect == "silent-mid-burst":
             assert any(silent for _, _, silent in cut)
+            assert (raw.scalars[:, COL["conv_at"]] >= 0).all()
+
+    def test_kernel_matches_scalar_oracle_from_staggered_starts(self):
+        """The kernel itself, uncapped and capped, against the oracle:
+        rows start at different positions, some are or fall silent, and
+        the budget cuts the runs of others."""
+        simulator = build(8)[2]
+        plan, deltas = simulator._plan, simulator._leap.deltas
+        rng = np.random.default_rng(0)
+        rows = [rng.multinomial(8, [1 / 8] * 8) for _ in range(14)]
+        rows += [np.ones(8, dtype=np.int64), [2, 0, 1, 1, 1, 1, 1, 1]]
+        block = np.array(rows, dtype=np.int64)
+        start = rng.integers(0, 300, len(block))
+        for cap, budget in ((None, 400), (8, 400), (3, 320)):
+            runs = []
+            for kernel in (bleap.lockstep_ssa, _oracle_kernel):
+                C = block.copy()
+                generators = [
+                    np.random.default_rng(s) for s in range(len(block))
+                ]
+                pos, events = kernel(
+                    C, start, generators, plan, deltas, 8, budget, cap=cap
+                )
+                runs.append((C, pos, events, [g.random() for g in generators]))
+            (C, pos, events, draws), (C_o, pos_o, events_o, draws_o) = runs
+            assert np.array_equal(C, C_o)
+            assert pos.tolist() == pos_o.tolist()
+            assert events.tolist() == events_o.tolist()
+            # Equal next draws: both consumed as many uniforms per row.
+            assert draws == draws_o
+            assert (pos == budget).any() and (pos < budget).any()
+            assert pos[-2] == start[-2]  # the all-distinct row is silent
+            assert (events > 0).any()
+            if cap is not None:
+                assert events.max() == cap
+
+    def test_sanitizer_error_inside_a_burst_names_bleap(self, monkeypatch):
+        """A count corrupted by a burst's own event trips the kernel's
+        next step check, which reports the bleap backend."""
+        kernel = bleap.lockstep_ssa
+
+        def leaky(C, start, generators, plan, deltas, *args, **kw):
+            bad = deltas.copy()
+            bad[:, 0] += 1  # every event adds an agent
+            return kernel(C, start, generators, plan, bad, *args, **kw)
+
+        monkeypatch.setattr(bleap, "lockstep_ssa", leaky)
+        _, population, simulator = build(8, sanitize=True)
+        with pytest.raises(SanitizerError) as excinfo:
+            simulator.run(uniform_initial(population))
+        assert excinfo.value.backend == "bleap"
+        assert excinfo.value.invariant == "population-size"
+        assert "lockstep_ssa" in [e.name for e in excinfo.traceback]
+
+
+class TestBurstGrouping:
+    """Which rows burst together cannot change any row's result."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["prop12-P8-N1e5-uniform", "prop12-P256-N200", "prop14-P16-leader"],
+    )
+    def test_rows_bursting_alone_equal_rows_bursting_together(
+        self, name, monkeypatch
+    ):
+        widths = []
+        kernel = bleap.lockstep_ssa
+
+        def spy(C, *args, **kw):
+            widths.append(len(C))
+            return kernel(C, *args, **kw)
+
+        monkeypatch.setattr(bleap, "lockstep_ssa", spy)
+        together, _ = _burst_raw(name)
+        assert max(widths) > 1, "no two rows burst together"
+        seeds = BURST_CASES[name][5]
+        widths.clear()
+        for r, seed in enumerate(seeds):
+            alone, _ = _burst_raw(name, seeds=[seed])
+            assert np.array_equal(alone.counts[0], together.counts[r])
+            assert np.array_equal(alone.scalars[0], together.scalars[r])
+        assert set(widths) == {1}
 
 
 class TestStatisticalEquivalence:

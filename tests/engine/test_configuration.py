@@ -1,5 +1,6 @@
 """Tests for Configuration: construction, views, equivalence, updates."""
 
+import dataclasses
 import pickle
 import warnings
 from collections import Counter
@@ -285,3 +286,21 @@ class TestCountsEngineFinalConfigurations:
             Configuration.uniform(population, 0), 10 * population.size,
         )
         assert len(pickle.dumps(result)) < 4096
+
+    def test_str_at_a_million_agents_reads_eight_names(self):
+        """``str()`` prints the text an eager configuration gives, and
+        never expands the lazy one to its per-agent tuple."""
+        population = Population(1_000_000)
+        _, result = self._run(
+            "leap", AsymmetricNamingProtocol(8), population,
+            Configuration.uniform(population, 0), 10 * population.size,
+        )
+        final = result.final_configuration
+        text = str(result)
+        assert final._states_cache is None
+        eager = Configuration(final.states, final.leader_index)
+        assert type(eager) is Configuration
+        assert text == str(
+            dataclasses.replace(result, final_configuration=eager)
+        )
+        assert text.endswith(", ... (999992 more))")

@@ -6,10 +6,12 @@ ordered pairs, one calling ``transition`` on both orientations of each
 unordered pair), the symbolic checker's per-successor frontier loop
 with its root, adjacency and duplicate-name helpers, and the
 homonym-preserving adversary that scores every candidate meeting on a
-whole new configuration, and the eager expansion of a counts vector into
-a per-agent configuration.  The differential tests hold the library to
-exactly their answers: same diagnostics, same witness order, same node
-numbering, same scheduled pairs, equal final configurations.
+whole new configuration, the eager expansion of a counts vector into a
+per-agent configuration, and the lockstep exact-SSA kernel as a scalar
+loop over one row.  The differential tests hold the library to exactly
+their answers: same diagnostics, same witness order, same node
+numbering, same scheduled pairs, equal final configurations, equal
+counts and positions.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.analysis.symbolic import CountsSystem
+from repro.engine.batch import REFILL_STEPS
 from repro.engine.configuration import Configuration
 from repro.engine.fast import TransitionTable
 from repro.engine.population import AgentId, Population
@@ -331,6 +334,46 @@ def oracle_materialize_counts(
     )
     states.insert(leader_pos, leader_state)
     return Configuration(tuple(states), leader_pos)
+
+
+def oracle_lockstep_row(c, pos, rng, plan, deltas, size, budget, cap=None):
+    """One row of :func:`repro.engine.batch.lockstep_ssa`, as a scalar
+    loop.
+
+    Reads the uniforms the kernel prefetches for the row: ``2 * refill``
+    of them whenever the row's step count reaches a multiple of ``refill
+    = min(cap, REFILL_STEPS)`` (so one block of ``2 * cap`` for a burst
+    capped at ``cap <= REFILL_STEPS``), two per step.  Step ``k``
+    computes the gap to the next non-null event as ``1 + floor(log(max(u1,
+    1e-300)) / log1p(W * (-1 / (N (N - 1)))))`` with the kernel's own
+    float64 operations (NumPy's ``log`` and ``log1p``, whose last bit
+    can differ from :mod:`math`'s), and picks the event as ``#{cum <= u2
+    * W}`` over the int64 cumulative pair weights.  Stops at the cap, at
+    silence (staying at the last event) or before an event that would
+    pass ``budget`` (ending there).  Updates counts row ``c`` in place;
+    returns ``(pos, events)``.
+    """
+    refill = REFILL_STEPS if cap is None else min(cap, REFILL_STEPS)
+    neg_inv_total = -1.0 / (size * (size - 1))
+    events = 0
+    while cap is None or events < cap:
+        k = events % refill
+        if k == 0:
+            u = rng.random(2 * refill)
+            log_u1 = np.log(np.maximum(u[0::2], 1e-300))
+        w = c[plan.pair_i] * (c[plan.pair_j] - plan.diag)
+        weight = np.float64(w.sum())
+        if weight == 0:
+            break
+        gap = np.floor(log_u1[k] / np.log1p(weight * neg_inv_total)) + 1.0
+        if gap + pos > budget:
+            pos = budget
+            break
+        pos += int(gap)
+        f = int((np.cumsum(w) <= np.float64(u[2 * k + 1]) * weight).sum())
+        c += deltas[f]
+        events += 1
+    return pos, events
 
 
 # ----------------------------------------------------------------------

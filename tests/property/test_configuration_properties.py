@@ -145,6 +145,14 @@ class TestCountsConfigurationProperties:
         assert lazy.mobile_states == eager.mobile_states
         assert lazy.states == eager.states
 
+    @given(counts_rows(), st.integers(0, 12))
+    def test_mobile_head_reads_the_pairs_alone(self, row, limit):
+        lazy = materialize_counts_lazy(*row)
+        eager = oracle_materialize_counts(*row)
+        head = lazy.mobile_head(limit)
+        assert lazy._states_cache is None
+        assert head == eager.mobile_head(limit) == eager.mobile_states[:limit]
+
     @given(counts_rows())
     def test_pickle_round_trip_stays_lazy(self, row):
         lazy = materialize_counts_lazy(*row)

@@ -139,6 +139,13 @@ class TestJobKey:
     def test_unfingerprintable_protocol_has_no_key(self):
         assert job_key(make_spec(protocol=Unfingerprintable())) is None
 
+    def test_key_of_a_fixed_spec_is_pinned(self):
+        """Moves only when the key's version or inputs do: a new version
+        keeps a persisted cache from replaying older engines' draws."""
+        assert job_key(make_spec(backend="bleap")) == (
+            "23d4e740b7701ff88b195dc8b0fedfbfdcc2d20805dba6760a245f714f741294"
+        )
+
     def test_seeds_normalized_to_tuple(self):
         spec = make_spec(seeds=range(3))
         assert spec.seeds == (0, 1, 2)

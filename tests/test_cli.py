@@ -2,7 +2,60 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.engine.configuration import Configuration
+
+#: ``repro simulate`` arguments and their whole stdout, recorded when a
+#: uniform start was still built from an N-element list.
+PINNED_SIMULATE = {
+    "--symmetry symmetric --fairness weak --leader initialized --init "
+    "uniform -P 4 -N 4": (
+        "model     : symmetric rules, weak fairness, initialized leader, "
+        "uniform mobile init\n"
+        "protocol  : leader + uniform init naming (Prop. 14) "
+        "(Proposition 14)\n"
+        "states    : 4 per mobile agent (paper optimum: 4)\n"
+        "population: N = 4, P = 4\n"
+        "start     : (4, 4, 4, 4)\n"
+        "result    : converged after 16 interactions (3 non-null); "
+        "names = (3, 4, 2, 1)\n"
+    ),
+    "--symmetry asymmetric --fairness global --leader none --init uniform "
+    "-P 16 -N 12 --seed 5": (
+        "model     : asymmetric rules, global fairness, no leader, uniform "
+        "mobile init\n"
+        "protocol  : asymmetric naming (Prop. 12) (Proposition 12)\n"
+        "states    : 16 per mobile agent (paper optimum: 16)\n"
+        "population: N = 12, P = 16\n"
+        "start     : (0, 0, 0, 0, 0, 0, 0, 0, ... (4 more))\n"
+        "result    : converged after 1040 interactions (66 non-null); "
+        "names = (5, 8, 0, 9, 10, 11, 1, 6, ... (4 more))\n"
+    ),
+    "--symmetry symmetric --fairness global --leader initialized --init "
+    "uniform -P 12 -N 10 --seed 3": (
+        "model     : symmetric rules, global fairness, initialized leader, "
+        "uniform mobile init\n"
+        "protocol  : global-fairness naming, Protocol 3 (Prop. 17) "
+        "(Proposition 17)\n"
+        "states    : 12 per mobile agent (paper optimum: 12)\n"
+        "population: N = 10, P = 12\n"
+        "start     : (0, 0, 0, 0, 0, 0, 0, 0, ... (2 more))\n"
+        "result    : converged after 14256 interactions (1018 non-null); "
+        "names = (4, 8, 10, 9, 6, 2, 3, 7, ... (2 more))\n"
+    ),
+    "--symmetry asymmetric --fairness global --leader none --init "
+    "arbitrary -P 16 -N 12 --seed 5": (
+        "model     : asymmetric rules, global fairness, no leader, "
+        "arbitrary mobile init\n"
+        "protocol  : asymmetric naming (Prop. 12) (Proposition 12)\n"
+        "states    : 16 per mobile agent (paper optimum: 16)\n"
+        "population: N = 12, P = 16\n"
+        "start     : (8, 11, 0, 14, 7, 1, 5, 3, ... (4 more))\n"
+        "result    : converged after 144 interactions (4 non-null); "
+        "names = (9, 13, 0, 14, 7, 1, 5, 3, ... (4 more))\n"
+    ),
+}
 
 
 class TestSimulate:
@@ -164,6 +217,55 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 0
         assert "Proposition 14" in out
+
+
+class TestSimulateStart:
+    @pytest.mark.parametrize("argv", list(PINNED_SIMULATE))
+    def test_output_is_unchanged(self, capsys, argv):
+        assert main(["simulate", *argv.split()]) == 0
+        assert capsys.readouterr().out == PINNED_SIMULATE[argv]
+
+    @pytest.mark.parametrize(
+        "argv, state",
+        [
+            ("--symmetry symmetric --fairness weak --leader initialized "
+             "--init uniform -P 4 -N 4", 4),
+            ("--symmetry asymmetric --fairness global --leader none "
+             "--init uniform -P 16 -N 12", 0),
+        ],
+    )
+    def test_uniform_start_carries_its_tally(self, monkeypatch, argv, state):
+        """The start equals the list-built one and arrives with its
+        state tally, so interning it hashes no per-agent state."""
+        seen = []
+        make_simulator = cli.make_simulator
+
+        def spy(*args, **kwargs):
+            simulator = make_simulator(*args, **kwargs)
+            run = simulator.run
+
+            def capture(initial, **kw):
+                seen.append((simulator, initial, initial._tally_cache))
+                return run(initial, **kw)
+
+            simulator.run = capture
+            return simulator
+
+        monkeypatch.setattr(cli, "make_simulator", spy)
+        assert main(["simulate", *argv.split()]) == 0
+        ((simulator, initial, tally),) = seen
+        population = simulator.population
+        leader = (
+            simulator.protocol.initial_leader_state()
+            if population.has_leader
+            else None
+        )
+        expected = Configuration.from_states(
+            population, [state] * population.n_mobile, leader
+        )
+        assert initial == expected
+        assert expected._tally_cache is None
+        assert tally is not None and tally == expected.state_tally()
 
 
 class TestDelegation:
