@@ -248,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="EPS",
         help=(
-            "leap/bleap backends only: per-window relative-change bound "
-            "of the adaptive tau selection (smaller = more accurate, "
-            "slower; default 0.03)"
+            "leap, bleap and fluid backends only: relative-change bound "
+            "of the adaptive tau selection, which fluid also applies to "
+            "its ODE steps (smaller = more accurate, slower; default 0.03)"
         ),
     )
     simulate.add_argument(

@@ -82,11 +82,14 @@ compare the ensembles distributionally (KS), mirroring
 
 Ensembles the lockstep view cannot honour - non-uniform schedulers,
 fault hooks, traces/observers, problems that are not the
-permutation-invariant naming problem, open-role protocols, missing
-NumPy - fall back to per-run :class:`~repro.engine.counts.CountSimulator`
-execution (which continues down the ladder ``counts -> fast ->
-reference``), with a :class:`~repro.errors.BackendFallbackWarning` naming
-the reason.
+permutation-invariant naming problem, open-role protocols (see
+:func:`~repro.engine.counts.native_refusal`) - fall back to per-run
+:class:`~repro.engine.counts.CountSimulator` execution (which continues
+down the ladder ``counts -> fast -> reference``), with a
+:class:`~repro.errors.BackendFallbackWarning` naming the reason.
+:class:`LockstepRung` holds what this engine and bleap share: the
+ensemble entry :meth:`~LockstepRung.run_replicates`, its one-pass
+interning and its fallback.
 """
 
 from __future__ import annotations
@@ -95,32 +98,25 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as _np
+
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
 from repro.engine.counts import (
     CountSimulator,
+    CountsRung,
     intern_initial,
     materialize_counts_lazy,
+    native_refusal,
 )
 from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT, warn_fallback
 from repro.engine.leap import _leap_plan_for
 from repro.engine.population import Population
-from repro.engine.problems import NamingProblem, Problem
+from repro.engine.problems import Problem
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.simulator import (
-    FaultHook,
-    Observer,
-    RunStats,
-    SimulationResult,
-)
-from repro.engine.trace import Trace
+from repro.engine.simulator import FaultHook, RunStats, SimulationResult
 from repro.errors import ConvergenceError, SimulationError
 from repro.schedulers.base import Scheduler
-
-try:  # NumPy powers the lockstep kernel; without it the backend delegates.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 #: Kernel steps between per-row uniform-buffer refills.  Each active row
 #: consumes two uniforms per step, so a refill draws ``2 * REFILL_STEPS``
@@ -507,7 +503,163 @@ def lockstep_ssa(
     return pos, events
 
 
-class BatchedEnsembleSimulator:
+class LockstepRung(CountsRung):
+    """A counts rung that also runs whole ensembles in lockstep.
+
+    What the batch and bleap engines share: both advance R replicates
+    as one ``(R, S)`` counts matrix, admit the same runs (the lockstep
+    sampling and naming-only refusals of :func:`native_refusal`) and
+    serve a single :meth:`run` as a batch of R = 1.  A subclass supplies
+    the kernel, :meth:`_raw`, and the ensemble fallback,
+    :meth:`_replicates_below`.
+    """
+
+    sampling = "lockstep sampling"
+    naming_only = (
+        "the lockstep kernel only certifies the naming problem; other "
+        "problems run per-replicate"
+    )
+
+    def run_replicates(
+        self,
+        initials: "Sequence[Configuration]",
+        schedulers: list[Scheduler],
+        max_interactions: int = 1_000_000,
+        raise_on_timeout: bool = False,
+        fault_hook: FaultHook | None = None,
+    ) -> list[SimulationResult]:
+        """Run one replicate per (initial, scheduler) pair, in lockstep.
+
+        Returns one :class:`SimulationResult` per replicate, in input
+        order.  Replicate ``r`` draws only from a generator seeded with
+        ``schedulers[r].seed``, so its result is independent of the other
+        replicates, of the batch width and of ``n_jobs`` chunking, and
+        identical to a single-run :meth:`run` with the same seed.
+        Ensembles the kernel cannot honour go to the rung's fallback
+        (:meth:`_replicates_below`).
+
+        ``initials`` may be any sequence, including a lazy one (see
+        :class:`repro.engine.ensemble._LazyInitials`): the native path
+        consumes it in a single pass, interning each configuration as it
+        is produced, so O(N)-sized configurations never need to exist
+        all at once.
+        """
+        if len(initials) != len(schedulers):
+            raise SimulationError(
+                f"{len(initials)} initial configurations for "
+                f"{len(schedulers)} schedulers"
+            )
+        if not len(initials):
+            return []
+        admitted = None
+        reason = native_refusal(
+            self._table, self._plan, schedulers, self.problem, fault_hook,
+            None, None, self.sampling, self.naming_only,
+        )
+        if reason is None:
+            admitted, reason = self._intern_rows(initials)
+        if reason is not None:
+            warn_fallback(self.backend, self.delegate, reason)
+            self.last_run_native = False
+            return self._replicates_below(
+                initials, schedulers, max_interactions, raise_on_timeout,
+                fault_hook,
+            )
+        self.last_run_native = True
+        rows, leaders = admitted
+        return self._replicates(
+            rows,
+            leaders,
+            [getattr(s, "seed", None) for s in schedulers],
+            max_interactions,
+            raise_on_timeout,
+        )
+
+    def _intern(self, initial: Configuration):
+        return self._intern_rows([initial])
+
+    def _intern_rows(self, initials: "Sequence[Configuration]"):
+        """Intern every start, or explain why one cannot be.
+
+        Returns ``((rows, leader_positions), None)`` or ``(None,
+        reason)``.  Size validation, interning and leader-position
+        collection share one pass over ``initials``, so a lazy sequence
+        is realized exactly once on the native path (each configuration
+        can be garbage collected as soon as its counts row exists).
+        """
+        rows: list[list[int]] = []
+        leaders: list[int | None] = []
+        for initial in initials:
+            self._check_size(initial)
+            counts, reason = intern_initial(
+                self._table, self._plan.n_mobile, initial
+            )
+            if reason is not None:
+                return None, reason
+            rows.append(counts)
+            leaders.append(initial.leader_index)
+        return (rows, leaders), None
+
+    def _run_admitted(
+        self,
+        initial: Configuration,
+        admitted,
+        max_interactions: int,
+        raise_on_timeout: bool,
+    ) -> SimulationResult:
+        rows, leaders = admitted
+        return self._replicates(
+            rows,
+            leaders,
+            [getattr(self.scheduler, "seed", None)],
+            max_interactions,
+            raise_on_timeout,
+        )[0]
+
+    def _replicates(
+        self,
+        rows: list[list[int]],
+        leader_positions: list[int | None],
+        seeds: list[int | None],
+        max_interactions: int,
+        raise_on_timeout: bool,
+    ) -> list[SimulationResult]:
+        """Advance all rows on the kernel, then build their results."""
+        raw = self._raw(rows, leader_positions, seeds, max_interactions)
+        return materialize_raw(
+            self._table,
+            self._plan.n_mobile,
+            self.population,
+            self.protocol.display_name,
+            raw,
+            max_interactions,
+            raise_on_timeout,
+        )
+
+    def _raw(
+        self,
+        rows: list[list[int]],
+        leader_positions: list[int | None],
+        seeds: list[int | None],
+        budget: int,
+    ) -> LockstepRaw:
+        """The kernel: advance all rows to silence, convergence or the
+        budget."""
+        raise NotImplementedError
+
+    def _replicates_below(
+        self,
+        initials: "Sequence[Configuration]",
+        schedulers: list[Scheduler],
+        max_interactions: int,
+        raise_on_timeout: bool,
+        fault_hook: FaultHook | None,
+    ) -> list[SimulationResult]:
+        """Serve a refused ensemble one rung down."""
+        raise NotImplementedError
+
+
+class BatchedEnsembleSimulator(LockstepRung):
     """Lockstep simulator for ensembles of replicate runs.
 
     Accepts the same constructor arguments and exposes the same
@@ -519,7 +671,7 @@ class BatchedEnsembleSimulator:
     view cannot honour delegate to per-run
     :class:`~repro.engine.counts.CountSimulator` execution with a
     :class:`~repro.errors.BackendFallbackWarning`.
-    :attr:`last_run_lockstep` reports which path served the last call.
+    :attr:`last_run_native` reports which path served the last call.
 
     Parameters
     ----------
@@ -539,6 +691,13 @@ class BatchedEnsembleSimulator:
         randomness, so per-seed results are unchanged.
     """
 
+    backend = "batch"
+    delegate = "counts"
+    # Bound in the class itself, not only inherited: the end-to-end
+    # benchmark's tracer reads each backend's ``run_replicates`` from
+    # the class ``__dict__``.
+    run_replicates = LockstepRung.run_replicates
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -552,270 +711,54 @@ class BatchedEnsembleSimulator:
         # The counts simulator validates the wiring, compiles the shared
         # table/plan, and serves as the per-run fallback delegate (which
         # may itself continue down the ladder to fast/reference).
-        self._counts = CountSimulator(
-            protocol, population, scheduler, problem, check_interval,
-            compile_limit, sanitize=sanitize,
+        super().__init__(
+            CountSimulator(
+                protocol, population, scheduler, problem, check_interval,
+                compile_limit, sanitize=sanitize,
+            )
         )
-        self.protocol = protocol
-        self.population = population
-        self.scheduler = scheduler
-        self.problem = problem
-        self.check_interval = self._counts.check_interval
-        self.sanitize = sanitize
         self._requested_check_interval = check_interval
         self._compile_limit = compile_limit
-        self._table = self._counts._table
-        self._plan = self._counts._plan
-        #: Whether the most recent run/run_replicates used the lockstep
-        #: kernel.
-        self.last_run_lockstep = False
 
-    @property
-    def compiled(self) -> bool:
-        """Whether the protocol compiled to a transition table."""
-        return self._table is not None
-
-    # ------------------------------------------------------------------
-    # Single-run contract (BACKENDS["batch"])
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        initial: Configuration,
-        max_interactions: int = 1_000_000,
-        trace: Trace | None = None,
-        fault_hook: FaultHook | None = None,
-        raise_on_timeout: bool = False,
-        observer: Observer | None = None,
-    ) -> SimulationResult:
-        """Execute one run (a lockstep batch of size R = 1).
-
-        Same parameters and semantics as :meth:`Simulator.run`; runs the
-        lockstep kernel cannot honour delegate to the internal counts
-        simulator (and onward down the backend ladder).
-        """
-        if len(initial) != self.population.size:
-            raise SimulationError(
-                f"initial configuration has {len(initial)} agents, "
-                f"population has {self.population.size}"
-            )
-        interned, leaders, reason = self._batch_preconditions(
-            [initial], trace=trace, fault_hook=fault_hook, observer=observer
-        )
-        if reason is not None:
-            warn_fallback("batch", "counts", reason)
-            self.last_run_lockstep = False
-            return self._counts.run(
-                initial,
-                max_interactions=max_interactions,
-                trace=trace,
-                fault_hook=fault_hook,
-                raise_on_timeout=raise_on_timeout,
-                observer=observer,
-            )
-        self.last_run_lockstep = True
-        return self._run_lockstep(
-            interned,
-            leaders,
-            [getattr(self.scheduler, "seed", None)],
-            max_interactions,
-            raise_on_timeout,
-        )[0]
-
-    # ------------------------------------------------------------------
-    # Ensemble contract
-    # ------------------------------------------------------------------
-
-    def run_replicates(
+    def _replicates_below(
         self,
         initials: "Sequence[Configuration]",
         schedulers: list[Scheduler],
-        max_interactions: int = 1_000_000,
-        raise_on_timeout: bool = False,
-        fault_hook: FaultHook | None = None,
-    ) -> list[SimulationResult]:
-        """Run one replicate per (initial, scheduler) pair, in lockstep.
-
-        Returns one :class:`SimulationResult` per replicate, in input
-        order.  Replicate ``r`` draws only from a generator seeded with
-        ``schedulers[r].seed``, so its result is independent of the other
-        replicates and identical to a single-run :meth:`run` with the
-        same seed.  Ensembles the lockstep kernel cannot honour fall back
-        to per-run counts execution (one
-        :class:`~repro.engine.counts.CountSimulator` per replicate).
-
-        ``initials`` may be any sequence, including a lazy one (see
-        :class:`repro.engine.ensemble._LazyInitials`): the native
-        lockstep path consumes it in a single pass, interning each
-        configuration as it is produced, so O(N)-sized configurations
-        never need to exist all at once.
-        """
-        if len(initials) != len(schedulers):
-            raise SimulationError(
-                f"{len(initials)} initial configurations for "
-                f"{len(schedulers)} schedulers"
-            )
-        if not len(initials):
-            return []
-        interned, leaders, reason = self._batch_preconditions(
-            initials, schedulers=schedulers, fault_hook=fault_hook
-        )
-        if reason is not None:
-            warn_fallback("batch", "counts", reason)
-            self.last_run_lockstep = False
-            results = []
-            for initial, scheduler in zip(initials, schedulers):
-                simulator = CountSimulator(
-                    self.protocol,
-                    self.population,
-                    scheduler,
-                    self.problem,
-                    self._requested_check_interval,
-                    self._compile_limit,
-                    sanitize=self.sanitize,
-                )
-                results.append(
-                    simulator.run(
-                        initial,
-                        max_interactions=max_interactions,
-                        fault_hook=fault_hook,
-                        raise_on_timeout=raise_on_timeout,
-                    )
-                )
-            return results
-        self.last_run_lockstep = True
-        return self._run_lockstep(
-            interned,
-            leaders,
-            [getattr(s, "seed", None) for s in schedulers],
-            max_interactions,
-            raise_on_timeout,
-        )
-
-    # ------------------------------------------------------------------
-    # Lockstep preconditions
-    # ------------------------------------------------------------------
-
-    def _batch_preconditions(
-        self,
-        initials: "Sequence[Configuration]",
-        schedulers: list[Scheduler] | None = None,
-        trace: Trace | None = None,
-        fault_hook: FaultHook | None = None,
-        observer: Observer | None = None,
-    ) -> tuple[
-        list[list[int]] | None, list[int | None] | None, str | None
-    ]:
-        """Intern every initial configuration, or explain why we cannot.
-
-        Returns ``(rows, leader_positions, reason)``.  Size validation,
-        interning and leader-position collection all happen in one pass
-        over ``initials``, so lazy initial sequences are realized exactly
-        once on the native path (each configuration can be garbage
-        collected as soon as its counts row exists).
-        """
-        if _np is None:
-            return None, None, (
-                "NumPy is not installed (the lockstep kernel needs it)"
-            )
-        if self._table is None:
-            return None, None, (
-                "the protocol's state space could not be compiled to a "
-                "transition table (unhashable, unenumerable or oversized)"
-            )
-        if not self._plan.closed:
-            return None, None, (
-                "a rule moves a state across the mobile/leader role "
-                "boundary, so counts alone cannot identify the leader"
-            )
-        for scheduler in schedulers if schedulers is not None else [
-            self.scheduler
-        ]:
-            if not getattr(scheduler, "uniform_pairs", False):
-                return None, None, (
-                    f"scheduler {scheduler.display_name!r} is not the "
-                    "uniform-random pair scheduler (lockstep sampling "
-                    "assumes independent uniform ordered pairs)"
-                )
-        if fault_hook is not None:
-            return None, None, (
-                "fault hooks rewrite per-agent configurations"
-            )
-        if trace is not None or observer is not None:
-            return None, None, (
-                "traces and observers need agent identities"
-            )
-        problem = self.problem
-        if problem is not None:
-            # The lockstep kernel evaluates convergence straight off the
-            # counts rows, which is only exact for the naming predicate
-            # (distinct names + silence); other problems would need a
-            # per-row materialization per check boundary.
-            if type(problem) is not NamingProblem:
-                return None, None, (
-                    "the lockstep kernel only certifies the naming "
-                    "problem; other problems run per-replicate"
-                )
-            if not getattr(problem, "permutation_invariant", False):
-                return None, None, (
-                    "the problem is not permutation-invariant, so it "
-                    "cannot be evaluated on a canonical representative"
-                )
-        rows: list[list[int]] = []
-        leaders: list[int | None] = []
-        for initial in initials:
-            if len(initial) != self.population.size:
-                raise SimulationError(
-                    f"initial configuration has {len(initial)} agents, "
-                    f"population has {self.population.size}"
-                )
-            counts, reason = intern_initial(
-                self._table, self._plan.n_mobile, initial
-            )
-            if reason is not None:
-                return None, None, reason
-            rows.append(counts)
-            leaders.append(initial.leader_index)
-        return rows, leaders, None
-
-    # ------------------------------------------------------------------
-    # The lockstep kernel
-    # ------------------------------------------------------------------
-
-    def _run_lockstep(
-        self,
-        rows: list[list[int]],
-        leader_positions: list[int | None],
-        seeds: list[int | None],
         max_interactions: int,
         raise_on_timeout: bool,
+        fault_hook: FaultHook | None,
     ) -> list[SimulationResult]:
-        """Advance all rows, then materialize per-replicate results."""
-        raw = self._lockstep_raw(
-            rows, leader_positions, seeds, max_interactions
-        )
-        return materialize_raw(
-            self._table,
-            self._plan.n_mobile,
-            self.population,
-            self.protocol.display_name,
-            raw,
-            max_interactions,
-            raise_on_timeout,
-        )
+        """One :class:`~repro.engine.counts.CountSimulator` per
+        replicate."""
+        return [
+            CountSimulator(
+                self.protocol,
+                self.population,
+                scheduler,
+                self.problem,
+                self._requested_check_interval,
+                self._compile_limit,
+                sanitize=self.sanitize,
+            ).run(
+                initial,
+                max_interactions=max_interactions,
+                fault_hook=fault_hook,
+                raise_on_timeout=raise_on_timeout,
+            )
+            for initial, scheduler in zip(initials, schedulers)
+        ]
 
-    def _lockstep_raw(
+    def _raw(
         self,
         rows: list[list[int]],
         leader_positions: list[int | None],
         seeds: list[int | None],
-        max_interactions: int,
+        budget: int,
     ) -> LockstepRaw:
         """Advance all rows to silence, convergence or the budget."""
         np = _np
         started = time.perf_counter()
         plan = self._plan
-        budget = max_interactions
         C = np.asarray(rows, dtype=np.int64)
         n_rows = len(C)
         pos, events = lockstep_ssa(

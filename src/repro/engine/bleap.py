@@ -87,8 +87,9 @@ same refresh, so no later window can touch it.
 
 Ensembles the bleap view cannot honour - non-uniform schedulers, fault
 hooks, traces/observers, problems that are not the permutation-invariant
-naming problem, open-role protocols, uncompilable state spaces, missing
-NumPy - fall back to the lockstep batch engine with a structured
+naming problem, open-role protocols, uncompilable state spaces (the
+batch engine's refusals, :class:`~repro.engine.batch.LockstepRung`) -
+fall back to the lockstep batch engine with a structured
 :class:`~repro.errors.BackendFallbackWarning` (``backend="bleap"``,
 ``delegate="batch"``), which applies its own preconditions and continues
 down the ladder ``batch -> counts -> fast -> reference``.
@@ -99,43 +100,35 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+import numpy as _np
+
 from repro.engine import sanitize as _sanitize
 from repro.engine.batch import (
     COL,
     N_SCALARS,
     BatchedEnsembleSimulator,
     LockstepRaw,
+    LockstepRung,
     lockstep_ssa,
-    materialize_raw,
 )
 from repro.engine.configuration import Configuration
-from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT, warn_fallback
+from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT
 from repro.engine.leap import (
     DEFAULT_LEAP_EPS,
     DEFAULT_MIN_TAU,
     EXACT_BURST,
     MIN_WINDOW_EVENTS,
     _leap_plan_for,
+    check_leap_knobs,
 )
 from repro.engine.population import Population
 from repro.engine.problems import Problem
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.simulator import (
-    FaultHook,
-    Observer,
-    RunStats,
-    SimulationResult,
-)
-from repro.engine.trace import Trace
-from repro.errors import ConvergenceError, SimulationError
+from repro.engine.simulator import FaultHook, SimulationResult
 from repro.schedulers.base import Scheduler
 
-try:  # NumPy powers the windowed kernel; without it the backend delegates.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
-class BatchedLeapSimulator:
+class BatchedLeapSimulator(LockstepRung):
     """Lockstep tau-leaping simulator for ensembles of replicate runs.
 
     Accepts the same constructor arguments and exposes the same
@@ -174,6 +167,13 @@ class BatchedLeapSimulator:
         never consume randomness, so per-seed results are unchanged.
     """
 
+    backend = "bleap"
+    delegate = "batch"
+    # Bound in the class itself, not only inherited: the end-to-end
+    # benchmark's tracer reads each backend's ``run_replicates`` from
+    # the class ``__dict__``.
+    run_replicates = LockstepRung.run_replicates
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -186,178 +186,51 @@ class BatchedLeapSimulator:
         min_tau: int = DEFAULT_MIN_TAU,
         sanitize: bool = False,
     ) -> None:
-        if not 0.0 < leap_eps < 1.0:
-            raise SimulationError(
-                f"leap_eps must be in (0, 1), got {leap_eps}"
-            )
-        if min_tau < 1:
-            raise SimulationError(
-                f"min_tau must be a positive integer, got {min_tau}"
-            )
+        check_leap_knobs(leap_eps, min_tau)
         # The batch simulator validates the wiring, compiles the shared
-        # table/plan, owns the lockstep preconditions (bleap's are
-        # identical) and serves as the fallback delegate (which may
+        # table/plan and serves as the fallback delegate (which may
         # itself continue down the ladder to counts/fast/reference).
-        self._batch = BatchedEnsembleSimulator(
-            protocol, population, scheduler, problem, check_interval,
-            compile_limit, sanitize=sanitize,
+        super().__init__(
+            BatchedEnsembleSimulator(
+                protocol, population, scheduler, problem, check_interval,
+                compile_limit, sanitize=sanitize,
+            )
         )
-        self.protocol = protocol
-        self.population = population
-        self.scheduler = scheduler
-        self.problem = problem
-        self.check_interval = self._batch.check_interval
         self.leap_eps = leap_eps
         self.min_tau = min_tau
-        self.sanitize = sanitize
-        self._table = self._batch._table
-        self._plan = self._batch._plan
         self._leap = (
             _leap_plan_for(protocol, self._plan)
-            if _np is not None and self._plan is not None
+            if self._plan is not None
             else None
         )
-        #: Whether the most recent run/run_replicates used the windowed
-        #: kernel.
-        self.last_run_native = False
 
-    @property
-    def compiled(self) -> bool:
-        """Whether the protocol compiled to a transition table."""
-        return self._table is not None
-
-    # ------------------------------------------------------------------
-    # Single-run contract (BACKENDS["bleap"])
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        initial: Configuration,
-        max_interactions: int = 1_000_000,
-        trace: Trace | None = None,
-        fault_hook: FaultHook | None = None,
-        raise_on_timeout: bool = False,
-        observer: Observer | None = None,
-    ) -> SimulationResult:
-        """Execute one run (a windowed lockstep batch of size R = 1).
-
-        Same parameters and semantics as :meth:`Simulator.run`; runs the
-        windowed kernel cannot honour delegate to the internal batch
-        simulator (and onward down the backend ladder).
-        """
-        if len(initial) != self.population.size:
-            raise SimulationError(
-                f"initial configuration has {len(initial)} agents, "
-                f"population has {self.population.size}"
-            )
-        interned, leaders, reason = self._batch._batch_preconditions(
-            [initial], trace=trace, fault_hook=fault_hook, observer=observer
-        )
-        if reason is not None:
-            warn_fallback("bleap", "batch", reason)
-            self.last_run_native = False
-            return self._batch.run(
-                initial,
-                max_interactions=max_interactions,
-                trace=trace,
-                fault_hook=fault_hook,
-                raise_on_timeout=raise_on_timeout,
-                observer=observer,
-            )
-        self.last_run_native = True
-        return self._run_windows(
-            interned,
-            leaders,
-            [getattr(self.scheduler, "seed", None)],
-            max_interactions,
-            raise_on_timeout,
-        )[0]
-
-    # ------------------------------------------------------------------
-    # Ensemble contract
-    # ------------------------------------------------------------------
-
-    def run_replicates(
+    def _replicates_below(
         self,
         initials: "Sequence[Configuration]",
         schedulers: list[Scheduler],
-        max_interactions: int = 1_000_000,
-        raise_on_timeout: bool = False,
-        fault_hook: FaultHook | None = None,
+        max_interactions: int,
+        raise_on_timeout: bool,
+        fault_hook: FaultHook | None,
     ) -> list[SimulationResult]:
-        """Run one replicate per (initial, scheduler) pair, in windowed
-        lockstep.
-
-        Returns one :class:`SimulationResult` per replicate, in input
-        order.  Replicate ``r`` draws only from a generator seeded with
-        ``schedulers[r].seed``, so its result is independent of the
-        other replicates, of the batch width and of ``n_jobs`` chunking.
-        Ensembles the windowed kernel cannot honour fall back to the
-        lockstep batch engine.  ``initials`` may be a lazy sequence (see
-        :meth:`BatchedEnsembleSimulator.run_replicates`); the native
-        path realizes it in one interning pass.
-        """
-        if len(initials) != len(schedulers):
-            raise SimulationError(
-                f"{len(initials)} initial configurations for "
-                f"{len(schedulers)} schedulers"
-            )
-        if not len(initials):
-            return []
-        interned, leaders, reason = self._batch._batch_preconditions(
-            initials, schedulers=schedulers, fault_hook=fault_hook
-        )
-        if reason is not None:
-            warn_fallback("bleap", "batch", reason)
-            self.last_run_native = False
-            return self._batch.run_replicates(
-                initials,
-                schedulers,
-                max_interactions=max_interactions,
-                raise_on_timeout=raise_on_timeout,
-                fault_hook=fault_hook,
-            )
-        self.last_run_native = True
-        return self._run_windows(
-            interned,
-            leaders,
-            [getattr(s, "seed", None) for s in schedulers],
-            max_interactions,
-            raise_on_timeout,
+        """The lockstep batch engine's own ``run_replicates``."""
+        return self._below.run_replicates(
+            initials,
+            schedulers,
+            max_interactions=max_interactions,
+            raise_on_timeout=raise_on_timeout,
+            fault_hook=fault_hook,
         )
 
     # ------------------------------------------------------------------
     # The windowed lockstep kernel
     # ------------------------------------------------------------------
 
-    def _run_windows(
+    def _raw(
         self,
         rows: list[list[int]],
         leader_positions: list[int | None],
         seeds: list[int | None],
-        max_interactions: int,
-        raise_on_timeout: bool,
-    ) -> list[SimulationResult]:
-        """Advance all rows, then materialize per-replicate results."""
-        raw = self._windows_raw(
-            rows, leader_positions, seeds, max_interactions
-        )
-        return materialize_raw(
-            self._table,
-            self._plan.n_mobile,
-            self.population,
-            self.protocol.display_name,
-            raw,
-            max_interactions,
-            raise_on_timeout,
-        )
-
-    def _windows_raw(
-        self,
-        rows: list[list[int]],
-        leader_positions: list[int | None],
-        seeds: list[int | None],
-        max_interactions: int,
+        budget: int,
     ) -> LockstepRaw:
         """Advance all rows to silence, convergence or the budget."""
         np = _np
@@ -374,7 +247,6 @@ class BatchedLeapSimulator:
         min_tau = self.min_tau
         check_interval = self.check_interval
         checking = self.problem is not None
-        budget = max_interactions
 
         n_rows = len(rows)
         C = np.asarray(rows, dtype=np.int64)

@@ -57,22 +57,33 @@ in interned order), exact up to the paper's Section 3.1 equivalence.
 
 Runs the counts view cannot honour - non-uniform or adversarial
 schedulers, fault hooks, traces/observers (which need agent identities),
-protocols whose rules move states across the mobile/leader role boundary,
-or missing NumPy - fall back to :class:`~repro.engine.fast.FastSimulator`
+protocols whose rules move states across the mobile/leader role
+boundary - fall back to :class:`~repro.engine.fast.FastSimulator`
 (which may itself fall back to the reference loop), with a
 :class:`~repro.errors.BackendFallbackWarning` naming the reason.
+
+This module also holds the wiring every counts-native rung of the
+backend ladder shares - counts, leap, fluid, batch and bleap:
+:func:`native_refusal`, the one ordered list of the runs their kernels
+refuse, and :class:`CountsRung`, the one fallback ``run``.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter, OrderedDict
+from typing import Iterable
+
+import numpy as _np
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
 from repro.engine.fast import (
     BACKENDS,
     DEFAULT_COMPILE_LIMIT,
+    LEADER_STATE_HELD,
+    NOT_COMPILED,
+    OUTSIDE_SPACE,
     FastSimulator,
     TransitionTable,
     compile_table,
@@ -94,11 +105,6 @@ from repro.errors import (
     SimulationError,
 )
 from repro.schedulers.base import Scheduler
-
-try:  # NumPy powers the batched sampler; without it the backend delegates.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 
 def configuration_counts(
@@ -219,13 +225,10 @@ def intern_initial(
         for state, k in tally.items():
             idx = table.index[state]
             if idx >= n_mobile and (k != 1 or state != leader_state):
-                return None, "a mobile agent holds a leader-only state"
+                return None, LEADER_STATE_HELD
             counts[idx] += k
     except (KeyError, TypeError):
-        return None, (
-            "the initial configuration holds states outside the "
-            "protocol's declared state space"
-        )
+        return None, OUTSIDE_SPACE
     if leader_state is not None and table.index[leader_state] < n_mobile:
         return None, (
             "the leader holds a mobile state, which is "
@@ -427,7 +430,182 @@ def _plan_for(
     return plan
 
 
-class CountSimulator:
+def native_refusal(
+    table: TransitionTable | None,
+    plan: _CountsPlan | None,
+    schedulers: Iterable[Scheduler],
+    problem: Problem | None,
+    fault_hook: FaultHook | None,
+    trace: Trace | None,
+    observer: Observer | None,
+    sampling: str,
+    naming_only: str | None = None,
+) -> str | None:
+    """Why a counts-native kernel cannot serve a run, or ``None``.
+
+    The one ordered list of refusals of the counts, leap, fluid, batch
+    and bleap rungs; the first that applies is the reason a rung's
+    :class:`~repro.errors.BackendFallbackWarning` reports.  ``sampling``
+    names what assumes uniform pairs in the scheduler refusal ("counts
+    sampling", "multinomial leaping", "lockstep sampling").
+    ``naming_only``, when given, is the rung's refusal of every problem
+    but :class:`~repro.engine.problems.NamingProblem`: its kernel
+    certifies convergence straight off the counts, which is exact only
+    for the naming predicate (distinct names plus silence).
+    """
+    if table is None:
+        return NOT_COMPILED
+    if not plan.closed:
+        return (
+            "a rule moves a state across the mobile/leader role "
+            "boundary, so counts alone cannot identify the leader"
+        )
+    for scheduler in schedulers:
+        if not getattr(scheduler, "uniform_pairs", False):
+            return (
+                f"scheduler {scheduler.display_name!r} is not the "
+                f"uniform-random pair scheduler ({sampling} assumes "
+                "independent uniform ordered pairs)"
+            )
+    if fault_hook is not None:
+        return "fault hooks rewrite per-agent configurations"
+    if trace is not None or observer is not None:
+        return "traces and observers need agent identities"
+    if problem is None:
+        return None
+    if naming_only is not None and type(problem) is not NamingProblem:
+        return naming_only
+    if not getattr(problem, "permutation_invariant", False):
+        return (
+            "the problem is not permutation-invariant, so it cannot "
+            "be evaluated on a canonical representative"
+        )
+    return None
+
+
+class CountsRung:
+    """One counts-native rung of the backend ladder.
+
+    The wiring the counts, leap, fluid, batch and bleap backends share.
+    A rung wraps the already-built simulator one rung down
+    (``_below``), copies its wiring, serves on its own kernel every run
+    :func:`native_refusal` admits, and hands every other run to that
+    delegate with a :class:`~repro.errors.BackendFallbackWarning`
+    naming the reason.  A subclass names itself and its delegate
+    (``backend``, ``delegate``), says what its kernel samples
+    (``sampling``) and whether it certifies only naming
+    (``naming_only``), and supplies the kernel as :meth:`_run_admitted`.
+    """
+
+    #: This rung's and its delegate's backend names, as the fallback
+    #: warnings report them.
+    backend: str
+    delegate: str
+    #: What assumes uniform pairs, in the scheduler refusal.
+    sampling: str
+    #: The refusal of every problem but naming, on rungs whose kernel
+    #: certifies only naming.
+    naming_only: str | None = None
+
+    def __init__(self, below) -> None:
+        self._below = below
+        self.protocol = below.protocol
+        self.population = below.population
+        self.scheduler = below.scheduler
+        self.problem = below.problem
+        self.check_interval = below.check_interval
+        self.sanitize = below.sanitize
+        if isinstance(below, CountsRung):
+            # The counts rung compiles the table and sampling plan;
+            # every rung above shares its delegate's.
+            self._table = below._table
+            self._plan = below._plan
+        #: Whether the most recent run used this rung's own kernel.
+        self.last_run_native = False
+        #: Final counts vector of the most recent native run of a
+        #: per-run rung (interned order, leader included); ``None``
+        #: after delegated runs and on the lockstep rungs.
+        self.last_counts: list[int] | None = None
+
+    @property
+    def compiled(self) -> bool:
+        """Whether the protocol compiled to a transition table."""
+        return self._table is not None
+
+    def run(
+        self,
+        initial: Configuration,
+        max_interactions: int = 1_000_000,
+        trace: Trace | None = None,
+        fault_hook: FaultHook | None = None,
+        raise_on_timeout: bool = False,
+        observer: Observer | None = None,
+    ) -> SimulationResult:
+        """Execute until certified convergence or the budget is exhausted.
+
+        Same parameters and semantics as :meth:`Simulator.run`.  Runs
+        the rung's kernel cannot honour (traces, observers and fault
+        hooks need agent identities, non-uniform schedulers the full
+        agent vector; see :func:`native_refusal`) delegate one rung down.
+        """
+        self._check_size(initial)
+        admitted, reason = self._admit(initial, trace, fault_hook, observer)
+        if reason is not None:
+            warn_fallback(self.backend, self.delegate, reason)
+            self.last_run_native = False
+            self.last_counts = None
+            return self._below.run(
+                initial,
+                max_interactions=max_interactions,
+                trace=trace,
+                fault_hook=fault_hook,
+                raise_on_timeout=raise_on_timeout,
+                observer=observer,
+            )
+        self.last_run_native = True
+        return self._run_admitted(
+            initial, admitted, max_interactions, raise_on_timeout
+        )
+
+    def _check_size(self, initial: Configuration) -> None:
+        if len(initial) != self.population.size:
+            raise SimulationError(
+                f"initial configuration has {len(initial)} agents, "
+                f"population has {self.population.size}"
+            )
+
+    def _admit(
+        self,
+        initial: Configuration,
+        trace: Trace | None,
+        fault_hook: FaultHook | None,
+        observer: Observer | None,
+    ) -> tuple[object, str | None]:
+        """``(interned start, None)``, or ``(None, reason)`` when the
+        rung refuses the run."""
+        reason = native_refusal(
+            self._table, self._plan, [self.scheduler], self.problem,
+            fault_hook, trace, observer, self.sampling, self.naming_only,
+        )
+        if reason is not None:
+            return None, reason
+        return self._intern(initial)
+
+    def _intern(self, initial: Configuration):
+        return intern_initial(self._table, self._plan.n_mobile, initial)
+
+    def _run_admitted(
+        self,
+        initial: Configuration,
+        admitted,
+        max_interactions: int,
+        raise_on_timeout: bool,
+    ) -> SimulationResult:
+        """Serve an admitted run on the rung's own kernel."""
+        raise NotImplementedError
+
+
+class CountSimulator(CountsRung):
     """Counts-vector simulator: per-interaction cost independent of N.
 
     Accepts the same constructor arguments and exposes the same
@@ -460,6 +638,14 @@ class CountSimulator:
         construction.  Checks never consume randomness.
     """
 
+    backend = "counts"
+    delegate = "fast"
+    sampling = "counts sampling"
+    # Bound in the class itself, not only inherited: the end-to-end
+    # benchmark's tracer reads each backend's ``run`` from the class
+    # ``__dict__``.
+    run = CountsRung.run
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -474,127 +660,23 @@ class CountSimulator:
         # The fast simulator validates the wiring and serves as the
         # graceful-fallback delegate (it may in turn delegate to the
         # reference loop).
-        self._fast = FastSimulator(
-            protocol, population, scheduler, problem, check_interval,
-            compile_limit, sanitize,
+        super().__init__(
+            FastSimulator(
+                protocol, population, scheduler, problem, check_interval,
+                compile_limit, sanitize,
+            )
         )
-        self.protocol = protocol
-        self.population = population
-        self.scheduler = scheduler
-        self.problem = problem
-        self.check_interval = self._fast.check_interval
-        self.sanitize = sanitize
         self._table = compile_table(protocol, compile_limit)
         self._plan = (
             _plan_for(protocol, self._table)
-            if _np is not None and self._table is not None
+            if self._table is not None
             else None
         )
-        self._rng = (
-            _np.random.default_rng(getattr(scheduler, "seed", None))
-            if _np is not None
-            else None
-        )
+        self._rng = _np.random.default_rng(getattr(scheduler, "seed", None))
         self._events_per_batch = events_per_batch or max(
             8, min(512, population.size // 32)
         )
-        #: Whether the most recent :meth:`run` used the counts path.
-        self.last_run_native = False
-        #: Final counts vector of the most recent native run (interned
-        #: order, leader included); ``None`` after delegated runs.
-        self.last_counts: list[int] | None = None
         self._leader_pos: int | None = None
-
-    @property
-    def compiled(self) -> bool:
-        """Whether the protocol compiled to a transition table."""
-        return self._table is not None
-
-    # ------------------------------------------------------------------
-    # Run
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        initial: Configuration,
-        max_interactions: int = 1_000_000,
-        trace: Trace | None = None,
-        fault_hook: FaultHook | None = None,
-        raise_on_timeout: bool = False,
-        observer: Observer | None = None,
-    ) -> SimulationResult:
-        """Execute until certified convergence or the budget is exhausted.
-
-        Same parameters and semantics as :meth:`Simulator.run`.  Traces,
-        observers and fault hooks need agent identities, and non-uniform
-        schedulers need the full agent vector, so those runs delegate.
-        """
-        if len(initial) != self.population.size:
-            raise SimulationError(
-                f"initial configuration has {len(initial)} agents, "
-                f"population has {self.population.size}"
-            )
-        counts, reason = self._native_preconditions(
-            initial, trace, fault_hook, observer
-        )
-        if reason is not None:
-            warn_fallback("counts", "fast", reason)
-            self.last_run_native = False
-            self.last_counts = None
-            return self._fast.run(
-                initial,
-                max_interactions=max_interactions,
-                trace=trace,
-                fault_hook=fault_hook,
-                raise_on_timeout=raise_on_timeout,
-                observer=observer,
-            )
-        self.last_run_native = True
-        self._leader_pos = initial.leader_index
-        return self._run_native(counts, max_interactions, raise_on_timeout)
-
-    # ------------------------------------------------------------------
-    # Native-path preconditions
-    # ------------------------------------------------------------------
-
-    def _native_preconditions(
-        self,
-        initial: Configuration,
-        trace: Trace | None,
-        fault_hook: FaultHook | None,
-        observer: Observer | None,
-    ) -> tuple[list[int] | None, str | None]:
-        """Intern the initial configuration, or explain why we cannot."""
-        if _np is None:
-            return None, "NumPy is not installed (batched sampling needs it)"
-        if self._table is None:
-            return None, (
-                "the protocol's state space could not be compiled to a "
-                "transition table (unhashable, unenumerable or oversized)"
-            )
-        if not self._plan.closed:
-            return None, (
-                "a rule moves a state across the mobile/leader role "
-                "boundary, so counts alone cannot identify the leader"
-            )
-        if not getattr(self.scheduler, "uniform_pairs", False):
-            return None, (
-                f"scheduler {self.scheduler.display_name!r} is not the "
-                "uniform-random pair scheduler (counts sampling assumes "
-                "independent uniform ordered pairs)"
-            )
-        if fault_hook is not None:
-            return None, "fault hooks rewrite per-agent configurations"
-        if trace is not None or observer is not None:
-            return None, "traces and observers need agent identities"
-        if self.problem is not None and not getattr(
-            self.problem, "permutation_invariant", False
-        ):
-            return None, (
-                "the problem is not permutation-invariant, so it cannot "
-                "be evaluated on a canonical representative"
-            )
-        return intern_initial(self._table, self._plan.n_mobile, initial)
 
     # ------------------------------------------------------------------
     # Counts hot loop
@@ -609,15 +691,17 @@ class CountSimulator:
             self._table, self._plan.n_mobile, counts, self._leader_pos
         )
 
-    def _run_native(
+    def _run_admitted(
         self,
+        initial: Configuration,
         counts: list[int],
         max_interactions: int,
         raise_on_timeout: bool,
     ) -> SimulationResult:
-        """The batched-thinning hot loop; assumes all preconditions."""
+        """The batched-thinning hot loop on the interned ``counts``."""
         np = _np
         started = time.perf_counter()
+        self._leader_pos = initial.leader_index
         plan = self._plan
         rng = self._rng
         problem = self.problem

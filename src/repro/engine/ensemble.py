@@ -305,7 +305,7 @@ class _LazyInitials:
     O(N)-sized configurations simultaneously on the dispatching process.
     This sequence builds each configuration on demand instead: the
     lockstep engines consume it in the single interning pass of
-    ``_batch_preconditions`` (peak memory O(N), not O(R * N)) and the
+    ``_intern_rows`` (peak memory O(N), not O(R * N)) and the
     factory is still called exactly once per seed on the native path.
     Nothing is cached - a second iteration (only the fallback paths do
     one) calls the factory again, which is sound because factories are
@@ -366,9 +366,6 @@ def _run_batch_chunk(task: tuple) -> list[SimulationResult]:
     chunks (or not) cannot change any result - serial, parallel and
     per-seed executions are bit-identical.
     """
-    from repro.engine.batch import BatchedEnsembleSimulator
-    from repro.engine.bleap import BatchedLeapSimulator
-
     common, seeds = task
     if not seeds:
         return []
@@ -391,18 +388,9 @@ def _run_batch_chunk(task: tuple) -> list[SimulationResult]:
     # inside the engines' single interning pass.
     schedulers = [scheduler_factory(population, seed) for seed in seeds]
     initials = _LazyInitials(initial_factory, population, seeds)
-    simulator_class = (
-        BatchedLeapSimulator
-        if backend == "bleap"
-        else BatchedEnsembleSimulator
-    )
-    simulator = simulator_class(
-        protocol,
-        population,
-        schedulers[0],
-        problem,
-        check_interval,
-        sanitize=sanitize,
+    simulator = make_simulator(
+        backend, protocol, population, schedulers[0], problem,
+        check_interval, sanitize=sanitize,
     )
     return simulator.run_replicates(
         initials,

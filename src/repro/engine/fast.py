@@ -91,6 +91,19 @@ from repro.schedulers.base import Scheduler
 #: reference simulator.
 DEFAULT_COMPILE_LIMIT = 512
 
+#: Refusal reasons worded once for every rung that gives them: this
+#: backend and the counts-native rungs above it (see
+#: :func:`repro.engine.counts.native_refusal`).
+NOT_COMPILED = (
+    "the protocol's state space could not be compiled to a transition "
+    "table (unhashable, unenumerable or oversized)"
+)
+OUTSIDE_SPACE = (
+    "the initial configuration holds states outside the protocol's "
+    "declared state space"
+)
+LEADER_STATE_HELD = "a mobile agent holds a leader-only state"
+
 #: Entry of a :class:`LazyTransitionTable` that is not compiled yet; the
 #: fast hot loop resolves it on first lookup.
 _PENDING = object()
@@ -459,6 +472,10 @@ def compile_table(
     if known_fp is not None:
         cached = _TABLE_CACHE.get(known_fp)
         if cached is not None:
+            # Answer as a cold compile with this limit would: the
+            # table's states are its mobile and leader spaces together.
+            if cached.n_states > compile_limit:
+                return None
             _TABLE_CACHE.move_to_end(known_fp)
             return cached
     try:
@@ -509,6 +526,8 @@ def _fast_table(
     # same id while the entry is cached.
     key = f"lazy-{id(protocol):x}"
     table = _TABLE_CACHE.get(key)
+    if table is not None and len(table.mobile_indices) > compile_limit:
+        return None  # as a cold compile with this limit would answer
     if table is None:
         try:
             mobile = frozenset(protocol.mobile_state_space())
@@ -602,10 +621,7 @@ class FastSimulator:
         table = self._table
         reason = None
         if table is None:
-            reason = (
-                "the protocol's state space could not be compiled to a "
-                "transition table (unhashable, unenumerable or oversized)"
-            )
+            reason = NOT_COMPILED
         elif fault_hook is not None:
             reason = "fault hooks mutate whole configurations per interaction"
         elif self.scheduler.inspects_configuration:
@@ -639,12 +655,7 @@ class FastSimulator:
         except (KeyError, TypeError):
             # States outside the declared space (or unhashable): the
             # reference loop handles them by construction.
-            warn_fallback(
-                "fast",
-                "reference",
-                "the initial configuration holds states outside the "
-                "protocol's declared state space",
-            )
+            warn_fallback("fast", "reference", OUTSIDE_SPACE)
             self.last_run_fast = False
             return self._reference.run(
                 initial,
@@ -661,11 +672,7 @@ class FastSimulator:
         ):
             # A mobile agent holding a leader-only state is pathological;
             # only the reference loop defines its semantics.
-            warn_fallback(
-                "fast",
-                "reference",
-                "a mobile agent holds a leader-only state",
-            )
+            warn_fallback("fast", "reference", LEADER_STATE_HELD)
             self.last_run_fast = False
             return self._reference.run(
                 initial,
@@ -1025,15 +1032,18 @@ def make_simulator(
 
     Known names are the :data:`BACKENDS` keys: ``"reference"``,
     ``"fast"`` and (once :mod:`repro.engine.counts`,
-    :mod:`repro.engine.batch`, :mod:`repro.engine.leap` and
-    :mod:`repro.engine.bleap` are imported, which ``repro.engine``
-    always does) ``"counts"``, ``"batch"``, ``"leap"`` and ``"bleap"``.
+    :mod:`repro.engine.batch`, :mod:`repro.engine.leap`,
+    :mod:`repro.engine.bleap` and :mod:`repro.engine.fluid` are
+    imported, which ``repro.engine`` always does) ``"counts"``,
+    ``"batch"``, ``"leap"``, ``"bleap"`` and ``"fluid"``.
     Raises :class:`SimulationError` for unknown backend names.
 
-    ``leap_eps`` sets the per-window relative-change bound of the
-    approximate tau-leaping backends, ``"leap"`` and ``"bleap"`` (see
-    :data:`repro.engine.leap.DEFAULT_LEAP_EPS`); it is forwarded to the
-    backend class only when given, and only those backends accept it.
+    ``leap_eps`` sets the relative-change bound of the approximate
+    backends, ``"leap"``, ``"bleap"`` and ``"fluid"`` (see
+    :data:`repro.engine.leap.DEFAULT_LEAP_EPS`): the tau-leaping windows
+    of the first two, and both the RK4 steps and the leap endgame of
+    fluid.  It is forwarded to the backend class only when given, and
+    only those three backends accept it.
 
     ``validate=True`` runs :func:`repro.engine.protocol.verify_protocol`
     before constructing the simulator, so malformed protocols (role
@@ -1077,6 +1087,7 @@ def make_simulator(
         if "leap_eps" in kwargs:
             raise SimulationError(
                 f"backend {backend!r} does not accept leap_eps (only "
-                "the approximate leap/bleap backends are tunable)"
+                "the approximate leap, bleap and fluid backends are "
+                "tunable)"
             ) from None
         raise

@@ -70,10 +70,10 @@ tally and (optionally) skip final materialization, so ``scaling
 --simulate`` completes full ``10 N`` naming horizons at N = 10^10 -
 population sizes whose agent vectors could never be built.
 
-Runs the fluid view cannot honour - leader populations (a count-1
-leader species has no mean-field limit), non-uniform schedulers, fault
-hooks, traces/observers, non-naming problems, uncompilable protocols,
-missing NumPy - fall back to the stochastic
+Runs the fluid view cannot honour - uncompilable protocols, leader
+populations (a count-1 leader species has no mean-field limit), then
+every refusal of the leap backend: non-uniform schedulers, fault hooks,
+traces/observers, non-naming problems - fall back to the stochastic
 :class:`~repro.engine.leap.LeapSimulator` (which continues down the
 ladder ``leap -> counts -> fast -> reference``) with a
 :class:`~repro.errors.BackendFallbackWarning` naming the reason.
@@ -86,10 +86,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Mapping
 
+import numpy as _np
+
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
-from repro.engine.counts import materialize_counts_lazy
-from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT, warn_fallback
+from repro.engine.counts import CountsRung, materialize_counts_lazy
+from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT, NOT_COMPILED
 from repro.engine.leap import (
     DEFAULT_LEAP_EPS,
     DEFAULT_MIN_TAU,
@@ -98,20 +100,10 @@ from repro.engine.leap import (
 from repro.engine.population import Population
 from repro.engine.problems import Problem
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.simulator import (
-    FaultHook,
-    Observer,
-    RunStats,
-    SimulationResult,
-)
+from repro.engine.simulator import FaultHook, Observer, SimulationResult
 from repro.engine.trace import Trace
-from repro.errors import SimulationError
+from repro.errors import ConvergenceError, SimulationError
 from repro.schedulers.base import Scheduler
-
-try:  # NumPy powers the integrator; without it we delegate.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 #: Default stochastic floor: a species that was macroscopic and dwindles
 #: below this many agents triggers the handoff to the leap backend.
@@ -255,7 +247,7 @@ def ode_reuse_scope() -> Iterator[None]:
         _ODE_REUSE.reset(token)
 
 
-class FluidSimulator:
+class FluidSimulator(CountsRung):
     """Mean-field fast-forward simulator with certified leap handoff.
 
     Accepts the same constructor arguments and exposes the same
@@ -296,6 +288,13 @@ class FluidSimulator:
         sanitized runs stay bit-identical.
     """
 
+    backend = "fluid"
+    delegate = "leap"
+    # Bound in the class itself, not only inherited: the end-to-end
+    # benchmark's tracer reads each backend's ``run`` from the class
+    # ``__dict__``.
+    run = CountsRung.run
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -318,75 +317,37 @@ class FluidSimulator:
         # table/plan/delta matrices, runs the stochastic endgame, and
         # serves as the fallback delegate (which may itself continue
         # down the ladder leap -> counts -> fast -> reference).
-        self._leap = LeapSimulator(
-            protocol, population, scheduler, problem, check_interval,
-            compile_limit, leap_eps, min_tau, sanitize=sanitize,
+        super().__init__(
+            LeapSimulator(
+                protocol, population, scheduler, problem, check_interval,
+                compile_limit, leap_eps, min_tau, sanitize=sanitize,
+            )
         )
-        self.protocol = protocol
-        self.population = population
-        self.scheduler = scheduler
-        self.problem = problem
-        self.check_interval = self._leap.check_interval
         self.leap_eps = leap_eps
         self.handoff_floor = handoff_floor
-        self.sanitize = sanitize
-        self._table = self._leap._table
-        self._plan = self._leap._plan
-        #: Whether the most recent run used the fluid path.
-        self.last_run_native = False
-        #: Final counts vector of the most recent native run (interned
-        #: order); ``None`` after delegated runs.
-        self.last_counts: list[int] | None = None
 
-    @property
-    def compiled(self) -> bool:
-        """Whether the protocol compiled to a transition table."""
-        return self._table is not None
-
-    # ------------------------------------------------------------------
-    # Run entry points
-    # ------------------------------------------------------------------
-
-    def run(
+    def _admit(
         self,
         initial: Configuration,
-        max_interactions: int = 1_000_000,
-        trace: Trace | None = None,
-        fault_hook: FaultHook | None = None,
-        raise_on_timeout: bool = False,
-        observer: Observer | None = None,
-    ) -> SimulationResult:
-        """Execute until certified convergence or the budget is exhausted.
-
-        Same parameters and semantics as :meth:`Simulator.run`; the
-        convergence verdict is always delivered by the stochastic leap
-        phase, so cadence and certification match ``backend="leap"``.
-        Runs the fluid view cannot honour delegate to the leap backend.
-        """
-        if len(initial) != self.population.size:
-            raise SimulationError(
-                f"initial configuration has {len(initial)} agents, "
-                f"population has {self.population.size}"
-            )
-        reason = self._fluid_preconditions()
-        counts = None
-        if reason is None:
-            counts, reason = self._leap._native_preconditions(
-                initial, trace, fault_hook, observer
-            )
+        trace: Trace | None,
+        fault_hook: FaultHook | None,
+        observer: Observer | None,
+    ) -> tuple[object, str | None]:
+        """Fluid's own refusals first, then the leap backend's."""
+        reason = self._fluid_refusal()
         if reason is not None:
-            warn_fallback("fluid", "leap", reason)
-            self.last_run_native = False
-            self.last_counts = None
-            return self._leap.run(
-                initial,
-                max_interactions=max_interactions,
-                trace=trace,
-                fault_hook=fault_hook,
-                raise_on_timeout=raise_on_timeout,
-                observer=observer,
-            )
-        self.last_run_native = True
+            return None, reason
+        return self._below._admit(initial, trace, fault_hook, observer)
+
+    def _run_admitted(
+        self,
+        initial: Configuration,
+        counts: list[int],
+        max_interactions: int,
+        raise_on_timeout: bool,
+    ) -> SimulationResult:
+        """The convergence verdict always comes from the stochastic leap
+        phase, so cadence and certification match ``backend="leap"``."""
         return self._run_native(
             counts, max_interactions, raise_on_timeout, materialize=True,
             leader_pos=initial.leader_index,
@@ -419,7 +380,7 @@ class FluidSimulator:
         entry point exists to avoid - so fluid-unsafe setups raise
         :class:`~repro.errors.SimulationError`.
         """
-        reason = self._fluid_preconditions()
+        reason = self._fluid_refusal()
         if reason is not None:
             raise SimulationError(
                 f"run_counts needs the native fluid path, but {reason}"
@@ -458,19 +419,10 @@ class FluidSimulator:
             materialize=materialize, leader_pos=None,
         )
 
-    # ------------------------------------------------------------------
-    # Native-path preconditions
-    # ------------------------------------------------------------------
-
-    def _fluid_preconditions(self) -> str | None:
-        """Fluid-specific refusals (the leap preconditions come on top)."""
-        if _np is None:
-            return "NumPy is not installed (the ODE integrator needs it)"
+    def _fluid_refusal(self) -> str | None:
+        """Fluid's own refusals, tried before the leap backend's."""
         if self._table is None:
-            return (
-                "the protocol's state space could not be compiled to a "
-                "transition table (unhashable, unenumerable or oversized)"
-            )
+            return NOT_COMPILED
         if self.population.has_leader:
             return (
                 "a count-1 leader species has no mean-field limit (the "
@@ -501,7 +453,7 @@ class FluidSimulator:
         size = self.population.size
         budget = max_interactions
         phase = (
-            plan, self._leap._leap, counts, budget, self.leap_eps,
+            plan, self._below._leap, counts, budget, self.leap_eps,
             self.handoff_floor, size,
         )
         reuse = _ODE_REUSE.get()
@@ -525,13 +477,11 @@ class FluidSimulator:
             _sanitize.check_counts_vector("fluid", handed, size, handoff_pos)
 
         # -- stochastic endgame: the leap backend owns the verdict --
-        outcome = self._leap._advance_native(
+        outcome = self._below._advance_native(
             handed, handoff_pos, budget, label="fluid"
         )
         converged = outcome.converged_at is not None
         if not converged and raise_on_timeout:
-            from repro.errors import ConvergenceError
-
             raise ConvergenceError(
                 f"{self.protocol.display_name} did not converge within "
                 f"{max_interactions} interactions",
@@ -539,8 +489,14 @@ class FluidSimulator:
             )
         final_counts = [int(k) for k in outcome.counts]
         self.last_counts = final_counts
-        pos = outcome.pos
         events = int(round(events_f)) + outcome.events
+        stats = outcome.stats(
+            started,
+            events,
+            ode_steps=ode_steps,
+            handoff_time=float(handoff_pos),
+            handoff_backend="leap",
+        )
         final_configuration = None
         final_tally = None
         if materialize:
@@ -553,10 +509,9 @@ class FluidSimulator:
                 for i, k in enumerate(final_counts)
                 if k
             }
-        elapsed = time.perf_counter() - started
         return SimulationResult(
             converged=converged,
-            interactions=pos,
+            interactions=outcome.pos,
             non_null_interactions=events,
             final_configuration=final_configuration,
             population=self.population,
@@ -564,23 +519,7 @@ class FluidSimulator:
             convergence_interaction=outcome.converged_at,
             faults_injected=0,
             final_counts=final_tally,
-            stats=RunStats(
-                wall_seconds=elapsed,
-                interactions_per_second=(
-                    pos / elapsed if elapsed > 0 else 0.0
-                ),
-                null_fraction=((pos - events) / pos if pos else 0.0),
-                leaps=outcome.leaps,
-                mean_tau=(
-                    outcome.leap_interactions / outcome.leaps
-                    if outcome.leaps
-                    else 0.0
-                ),
-                repairs=outcome.repairs,
-                ode_steps=ode_steps,
-                handoff_time=float(handoff_pos),
-                handoff_backend="leap",
-            ),
+            stats=stats,
         )
 
 

@@ -54,7 +54,8 @@ the CI smoke check.
 
 Runs the leap view cannot honour - non-uniform schedulers, fault hooks,
 traces/observers, problems other than the permutation-invariant naming
-problem, open-role protocols, missing NumPy - fall back to the exact
+problem, open-role protocols (see
+:func:`~repro.engine.counts.native_refusal`) - fall back to the exact
 :class:`~repro.engine.counts.CountSimulator` (which continues down the
 ladder ``counts -> fast -> reference``) with a
 :class:`~repro.errors.BackendFallbackWarning` naming the reason.
@@ -64,32 +65,25 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from dataclasses import replace
+from typing import NamedTuple
+
+import numpy as _np
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
 from repro.engine.counts import (
     CountSimulator,
-    intern_initial,
+    CountsRung,
     materialize_counts_lazy,
 )
-from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT, warn_fallback
+from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT
 from repro.engine.population import Population
-from repro.engine.problems import NamingProblem, Problem
+from repro.engine.problems import Problem
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.simulator import (
-    FaultHook,
-    Observer,
-    RunStats,
-    SimulationResult,
-)
-from repro.engine.trace import Trace
+from repro.engine.simulator import RunStats, SimulationResult
 from repro.errors import ConvergenceError, SimulationError
 from repro.schedulers.base import Scheduler
-
-try:  # NumPy powers the multinomial kernel; without it we delegate.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 #: Default relative-change bound per window: tau is capped so that no
 #: state's expected change (or standard deviation squared) inside one
@@ -115,7 +109,7 @@ MIN_WINDOW_EVENTS = 32.0
 EXACT_BURST = 64
 
 
-class _LeapOutcome:
+class _LeapOutcome(NamedTuple):
     """Raw outcome of one :meth:`LeapSimulator._advance_native` call.
 
     Everything the callers (the leap backend's own :meth:`run` and the
@@ -124,33 +118,27 @@ class _LeapOutcome:
     O(N) configuration materialization on them.
     """
 
-    __slots__ = (
-        "counts",
-        "pos",
-        "events",
-        "leaps",
-        "leap_interactions",
-        "repairs",
-        "converged_at",
-    )
+    counts: object
+    pos: int
+    events: int
+    leaps: int
+    leap_interactions: int
+    repairs: int
+    converged_at: int | None
 
-    def __init__(
-        self,
-        counts,
-        pos: int,
-        events: int,
-        leaps: int,
-        leap_interactions: int,
-        repairs: int,
-        converged_at: int | None,
-    ) -> None:
-        self.counts = counts
-        self.pos = pos
-        self.events = events
-        self.leaps = leaps
-        self.leap_interactions = leap_interactions
-        self.repairs = repairs
-        self.converged_at = converged_at
+    def stats(self, started: float, events: int, **extra) -> RunStats:
+        """The run's stats from a ``time.perf_counter()`` start mark:
+        ``events`` non-null interactions in all, the leap fields, and
+        ``extra`` fields."""
+        return replace(
+            RunStats.measure(started, self.pos, events),
+            leaps=self.leaps,
+            mean_tau=(
+                self.leap_interactions / self.leaps if self.leaps else 0.0
+            ),
+            repairs=self.repairs,
+            **extra,
+        )
 
 
 class _LeapPlan:
@@ -199,6 +187,16 @@ def seed_leap_plan(leap: _LeapPlan) -> None:
         _LEAP_CACHE.popitem(last=False)
 
 
+def check_leap_knobs(leap_eps: float, min_tau: int) -> None:
+    """Reject a ``leap_eps`` outside (0, 1) or a ``min_tau`` below 1."""
+    if not 0.0 < leap_eps < 1.0:
+        raise SimulationError(f"leap_eps must be in (0, 1), got {leap_eps}")
+    if min_tau < 1:
+        raise SimulationError(
+            f"min_tau must be a positive integer, got {min_tau}"
+        )
+
+
 def _leap_plan_for(protocol: PopulationProtocol, plan) -> _LeapPlan:
     """Build (or fetch the cached) delta matrices for ``plan``'s table."""
     cached = _LEAP_CACHE.get(plan.fingerprint)
@@ -210,7 +208,7 @@ def _leap_plan_for(protocol: PopulationProtocol, plan) -> _LeapPlan:
     return leap
 
 
-class LeapSimulator:
+class LeapSimulator(CountsRung):
     """Aggregated-interaction simulator: many interactions per step.
 
     Accepts the same constructor arguments and exposes the same
@@ -249,6 +247,18 @@ class LeapSimulator:
         consume randomness.
     """
 
+    backend = "leap"
+    delegate = "counts"
+    sampling = "multinomial leaping"
+    naming_only = (
+        "the leap kernel only certifies the naming problem; other "
+        "problems run on the exact counts backend"
+    )
+    # Bound in the class itself, not only inherited: the end-to-end
+    # benchmark's tracer reads each backend's ``run`` from the class
+    # ``__dict__``.
+    run = CountsRung.run
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -261,160 +271,37 @@ class LeapSimulator:
         min_tau: int = DEFAULT_MIN_TAU,
         sanitize: bool = False,
     ) -> None:
-        if not 0.0 < leap_eps < 1.0:
-            raise SimulationError(
-                f"leap_eps must be in (0, 1), got {leap_eps}"
-            )
-        if min_tau < 1:
-            raise SimulationError(
-                f"min_tau must be a positive integer, got {min_tau}"
-            )
+        check_leap_knobs(leap_eps, min_tau)
         # The counts simulator validates the wiring, compiles the shared
         # table/plan, and serves as the exact fallback delegate (which
         # may itself continue down the ladder to fast/reference).
-        self._counts = CountSimulator(
-            protocol, population, scheduler, problem, check_interval,
-            compile_limit, sanitize=sanitize,
+        super().__init__(
+            CountSimulator(
+                protocol, population, scheduler, problem, check_interval,
+                compile_limit, sanitize=sanitize,
+            )
         )
-        self.protocol = protocol
-        self.population = population
-        self.scheduler = scheduler
-        self.problem = problem
-        self.check_interval = self._counts.check_interval
         self.leap_eps = leap_eps
         self.min_tau = min_tau
-        self.sanitize = sanitize
-        self._table = self._counts._table
-        self._plan = self._counts._plan
         self._leap = (
             _leap_plan_for(protocol, self._plan)
-            if _np is not None and self._plan is not None
+            if self._plan is not None
             else None
         )
-        self._rng = (
-            _np.random.default_rng(getattr(scheduler, "seed", None))
-            if _np is not None
-            else None
-        )
-        #: Whether the most recent :meth:`run` used the leap path.
-        self.last_run_native = False
-        #: Final counts vector of the most recent native run (interned
-        #: order, leader included); ``None`` after delegated runs.
-        self.last_counts: list[int] | None = None
-        self._leader_pos: int | None = None
-
-    @property
-    def compiled(self) -> bool:
-        """Whether the protocol compiled to a transition table."""
-        return self._table is not None
-
-    # ------------------------------------------------------------------
-    # Run
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        initial: Configuration,
-        max_interactions: int = 1_000_000,
-        trace: Trace | None = None,
-        fault_hook: FaultHook | None = None,
-        raise_on_timeout: bool = False,
-        observer: Observer | None = None,
-    ) -> SimulationResult:
-        """Execute until certified convergence or the budget is exhausted.
-
-        Same parameters and semantics as :meth:`Simulator.run`, with the
-        windowed convergence cadence described in the module docstring.
-        Traces, observers and fault hooks need agent identities, and
-        only the naming problem can be certified straight off the counts
-        vector, so those runs delegate to the exact counts backend.
-        """
-        if len(initial) != self.population.size:
-            raise SimulationError(
-                f"initial configuration has {len(initial)} agents, "
-                f"population has {self.population.size}"
-            )
-        counts, reason = self._native_preconditions(
-            initial, trace, fault_hook, observer
-        )
-        if reason is not None:
-            warn_fallback("leap", "counts", reason)
-            self.last_run_native = False
-            self.last_counts = None
-            return self._counts.run(
-                initial,
-                max_interactions=max_interactions,
-                trace=trace,
-                fault_hook=fault_hook,
-                raise_on_timeout=raise_on_timeout,
-                observer=observer,
-            )
-        self.last_run_native = True
-        self._leader_pos = initial.leader_index
-        return self._run_native(counts, max_interactions, raise_on_timeout)
-
-    # ------------------------------------------------------------------
-    # Native-path preconditions
-    # ------------------------------------------------------------------
-
-    def _native_preconditions(
-        self,
-        initial: Configuration,
-        trace: Trace | None,
-        fault_hook: FaultHook | None,
-        observer: Observer | None,
-    ) -> tuple[list[int] | None, str | None]:
-        """Intern the initial configuration, or explain why we cannot."""
-        if _np is None:
-            return None, "NumPy is not installed (the leap kernel needs it)"
-        if self._table is None:
-            return None, (
-                "the protocol's state space could not be compiled to a "
-                "transition table (unhashable, unenumerable or oversized)"
-            )
-        if not self._plan.closed:
-            return None, (
-                "a rule moves a state across the mobile/leader role "
-                "boundary, so counts alone cannot identify the leader"
-            )
-        if not getattr(self.scheduler, "uniform_pairs", False):
-            return None, (
-                f"scheduler {self.scheduler.display_name!r} is not the "
-                "uniform-random pair scheduler (multinomial leaping "
-                "assumes independent uniform ordered pairs)"
-            )
-        if fault_hook is not None:
-            return None, "fault hooks rewrite per-agent configurations"
-        if trace is not None or observer is not None:
-            return None, "traces and observers need agent identities"
-        problem = self.problem
-        if problem is not None:
-            # The windowed kernel evaluates convergence straight off the
-            # counts vector, which is only exact for the naming
-            # predicate (distinct names + silence).
-            if type(problem) is not NamingProblem:
-                return None, (
-                    "the leap kernel only certifies the naming problem; "
-                    "other problems run on the exact counts backend"
-                )
-            if not getattr(problem, "permutation_invariant", False):
-                return None, (
-                    "the problem is not permutation-invariant, so it "
-                    "cannot be evaluated on a canonical representative"
-                )
-        return intern_initial(self._table, self._plan.n_mobile, initial)
+        self._rng = _np.random.default_rng(getattr(scheduler, "seed", None))
 
     # ------------------------------------------------------------------
     # The leap hot loop
     # ------------------------------------------------------------------
 
-    def _run_native(
+    def _run_admitted(
         self,
+        initial: Configuration,
         counts: list[int],
         max_interactions: int,
         raise_on_timeout: bool,
     ) -> SimulationResult:
-        """The windowed multinomial loop; assumes all preconditions."""
+        """The windowed multinomial loop on the interned ``counts``."""
         started = time.perf_counter()
         outcome = self._advance_native(counts, 0, max_interactions)
         converged = outcome.converged_at is not None
@@ -426,36 +313,20 @@ class LeapSimulator:
             )
         final_counts = [int(k) for k in outcome.counts]
         self.last_counts = final_counts
-        pos, events = outcome.pos, outcome.events
-        elapsed = time.perf_counter() - started
+        stats = outcome.stats(started, outcome.events)
         return SimulationResult(
             converged=converged,
-            interactions=pos,
-            non_null_interactions=events,
+            interactions=outcome.pos,
+            non_null_interactions=outcome.events,
             final_configuration=materialize_counts_lazy(
                 self._table, self._plan.n_mobile, final_counts,
-                self._leader_pos,
+                initial.leader_index,
             ),
             population=self.population,
             trace=None,
             convergence_interaction=outcome.converged_at,
             faults_injected=0,
-            stats=RunStats(
-                wall_seconds=elapsed,
-                interactions_per_second=(
-                    pos / elapsed if elapsed > 0 else 0.0
-                ),
-                null_fraction=(
-                    (pos - events) / pos if pos else 0.0
-                ),
-                leaps=outcome.leaps,
-                mean_tau=(
-                    outcome.leap_interactions / outcome.leaps
-                    if outcome.leaps
-                    else 0.0
-                ),
-                repairs=outcome.repairs,
-            ),
+            stats=stats,
         )
 
     def _advance_native(

@@ -75,6 +75,8 @@ import time
 from collections.abc import Sequence
 from typing import NamedTuple
 
+import numpy
+
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.engine.configuration import Configuration
 from repro.engine.ensemble import run_ensemble
@@ -137,10 +139,6 @@ _TITLES = {
              "vs result memo)",
 }
 
-try:  # Provenance only; the engines guard their own NumPy use.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 
 class ChurnProtocol(PopulationProtocol):
@@ -681,7 +679,7 @@ def environment() -> dict[str, object]:
     regressions attributable (did the code change, or the machine?).
 
     ``git_revision`` is ``None`` outside a git checkout (e.g. an
-    installed package); ``numpy`` is ``None`` when NumPy is absent.
+    installed package).
     """
     try:
         revision: str | None = subprocess.run(
@@ -694,7 +692,7 @@ def environment() -> dict[str, object]:
     except (OSError, subprocess.SubprocessError):
         revision = None
     return {
-        "numpy": _np.__version__ if _np is not None else None,
+        "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "git_revision": revision,
     }

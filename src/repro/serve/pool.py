@@ -521,16 +521,14 @@ class ServePool:
         if not self.cache.contains(PROTOCOL_KIND, fingerprint):
             self.cache.put(PROTOCOL_KIND, fingerprint, protocol)
         if not self.cache.contains(COMPILED_KIND, fingerprint):
-            from repro.engine.counts import _np, _plan_for
+            from repro.engine.counts import _plan_for
             from repro.engine.fast import compile_table
             from repro.engine.leap import _leap_plan_for
 
             table = compile_table(protocol)
-            counts_plan = leap_plan = None
-            if table is not None and _np is not None:
+            if table is not None:
                 counts_plan = _plan_for(protocol, table)
                 leap_plan = _leap_plan_for(protocol, counts_plan)
-            if table is not None:
                 self.cache.put(
                     COMPILED_KIND,
                     fingerprint,

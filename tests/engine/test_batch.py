@@ -124,7 +124,7 @@ class TestSingleRun:
         result = simulator.run(
             uniform_initial(population), max_interactions=200_000
         )
-        assert simulator.last_run_lockstep
+        assert simulator.last_run_native
         assert result.converged
         assert result.trace is None
         names = result.final_configuration.mobile_states
@@ -135,7 +135,7 @@ class TestSingleRun:
         space = sorted(protocol.mobile_state_space())
         initial = Configuration(tuple(space[:8]), None)
         result = simulator.run(initial, max_interactions=1_000)
-        assert simulator.last_run_lockstep
+        assert simulator.last_run_native
         assert result.converged
         assert result.convergence_interaction == 0
         assert result.non_null_interactions == 0
@@ -148,7 +148,7 @@ class TestSingleRun:
         result = simulator.run(
             uniform_initial(population), max_interactions=500
         )
-        assert simulator.last_run_lockstep
+        assert simulator.last_run_native
         assert not result.converged
         assert result.interactions == 500
 
@@ -162,14 +162,14 @@ class TestSingleRun:
                 max_interactions=5_000,
                 raise_on_timeout=True,
             )
-        assert simulator.last_run_lockstep
+        assert simulator.last_run_native
 
     def test_check_interval_certifies_on_boundary(self):
         _, population, simulator = build(6, check_interval=7)
         result = simulator.run(
             uniform_initial(population), max_interactions=100_000
         )
-        assert simulator.last_run_lockstep
+        assert simulator.last_run_native
         assert result.converged
         assert result.convergence_interaction % 7 == 0
 
@@ -189,7 +189,7 @@ class TestReplicates:
         _, population, simulator = build(8)
         schedulers, initials = replicate_parts(population, seeds)
         results = simulator.run_replicates(initials, schedulers)
-        assert simulator.last_run_lockstep
+        assert simulator.last_run_native
         assert len(results) == len(list(seeds))
         for result in results:
             assert result.converged
@@ -243,7 +243,7 @@ class TestFallbacks:
                 max_interactions=100_000,
                 trace=trace,
             )
-        assert not simulator.last_run_lockstep
+        assert not simulator.last_run_native
         assert result.converged
         assert trace.records  # the delegate honoured the trace
 
@@ -271,7 +271,7 @@ class TestFallbacks:
         )
         assert batch_warning.delegate == "counts"
         assert "fault hooks" in batch_warning.reason
-        assert not simulator.last_run_lockstep
+        assert not simulator.last_run_native
         assert calls
 
     def test_non_uniform_scheduler_falls_back(self):
@@ -288,7 +288,7 @@ class TestFallbacks:
             result = simulator.run(
                 uniform_initial(population), max_interactions=500
             )
-        assert not simulator.last_run_lockstep
+        assert not simulator.last_run_native
         assert not result.converged  # the adversary preserves homonyms
 
     def test_non_naming_problem_falls_back(self):
@@ -310,7 +310,7 @@ class TestFallbacks:
             result = simulator.run(
                 uniform_initial(population), max_interactions=200_000
             )
-        assert not simulator.last_run_lockstep
+        assert not simulator.last_run_native
         assert result.converged
 
     def test_replicates_fall_back_per_run(self):
@@ -332,7 +332,7 @@ class TestFallbacks:
                 max_interactions=200_000,
                 fault_hook=hook,
             )
-        assert not simulator.last_run_lockstep
+        assert not simulator.last_run_native
         assert len(results) == 3
         assert all(r.converged for r in results)
 
@@ -449,7 +449,7 @@ class TestDrawsPinned:
                 [RandomPairScheduler(population, seed=s) for s in seeds],
                 max_interactions=budget,
             )
-            assert simulator.last_run_lockstep
+            assert simulator.last_run_native
             for r in results:
                 digest.update(
                     repr(

@@ -317,12 +317,10 @@ def _burst_raw(name, seeds=None):
         sanitize=sanitize,
     )
     initial = Configuration.uniform(population, start, leader)
-    rows, leaders, reason = simulator._batch._batch_preconditions(
-        [initial] * len(seeds),
-        schedulers=[RandomPairScheduler(population, seed=s) for s in seeds],
-    )
+    admitted, reason = simulator._intern_rows([initial] * len(seeds))
     assert reason is None, reason
-    return simulator._windows_raw(rows, leaders, list(seeds), budget), simulator
+    rows, leaders = admitted
+    return simulator._raw(rows, leaders, list(seeds), budget), simulator
 
 
 class TestExactBurst:

@@ -974,3 +974,37 @@ class TestContentAddressedTableCache:
         seed_compiled_table(clone)
         # A *new* equal instance now resolves to the injected clone.
         assert compile_table(AsymmetricNamingProtocol(7)) is clone
+
+
+class TestCompileLimitOnCacheHit:
+    """A cached table answers ``compile_limit`` as a cold compile with
+    that limit would, whichever limit compiled it first."""
+
+    @pytest.mark.parametrize("warm_first", [False, True])
+    def test_eager_table(self, warm_first):
+        protocol = AsymmetricNamingProtocol(8)
+        if warm_first:
+            assert compile_table(protocol) is not None
+        assert compile_table(protocol, 2) is None
+        assert compile_table(protocol) is not None
+
+    @pytest.mark.parametrize("warm_first", [False, True])
+    def test_lazy_table(self, warm_first):
+        # Nine mobile states, and a leader space far over the default
+        # limit: the fast backend runs it on a lazy table.
+        protocol = GlobalNamingProtocol(9)
+        population = Population(3, has_leader=True)
+
+        def compiled(**kwargs) -> bool:
+            return FastSimulator(
+                protocol,
+                population,
+                RandomPairScheduler(population, seed=0),
+                NamingProblem(),
+                **kwargs,
+            ).compiled
+
+        if warm_first:
+            assert compiled()
+        assert not compiled(compile_limit=8)
+        assert compiled()

@@ -96,7 +96,10 @@ class TestConstruction:
         protocol = AsymmetricNamingProtocol(4)
         population = Population(5)
         scheduler = RandomPairScheduler(population, seed=0)
-        with pytest.raises(SimulationError, match="does not accept"):
+        with pytest.raises(
+            SimulationError,
+            match="only the approximate leap, bleap and fluid backends",
+        ):
             make_simulator(
                 "counts",
                 protocol,
