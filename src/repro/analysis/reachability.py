@@ -9,12 +9,13 @@ common substrate of both model checkers.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
 from repro.engine.configuration import Configuration
+from repro.engine.fast import LRU, table_fingerprint
 from repro.engine.population import AgentId, Population
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.state import State
@@ -90,11 +91,10 @@ def one_step_edges(
 #: fingerprint + population + root set.  Repeated lint/check sweeps over
 #: *equal* protocol instances (the registry builds a fresh object per
 #: cell) reuse one exploration instead of re-enumerating successor
-#: lists.  Bounded LRU, same idiom as the compiled-table cache in
-#: :mod:`repro.engine.fast`.
+#: lists.
 GRAPH_CACHE_SIZE = 32
 
-_GRAPH_CACHE: "OrderedDict[tuple, ConfigurationGraph]" = OrderedDict()
+_GRAPH_CACHE: "LRU[tuple, ConfigurationGraph]" = LRU(GRAPH_CACHE_SIZE)
 
 
 def _graph_key(
@@ -103,8 +103,6 @@ def _graph_key(
     roots: list[Configuration],
 ) -> tuple | None:
     """Content key for one exploration; ``None`` when uncacheable."""
-    from repro.engine.fast import table_fingerprint
-
     fingerprint = table_fingerprint(protocol)
     if fingerprint is None:
         return None  # too large / not enumerable: explore uncached
@@ -114,33 +112,6 @@ def _graph_key(
         population.has_leader,
         tuple(sorted(repr(c.states) for c in roots)),
     )
-
-
-def _remember_graph(key: tuple, graph: ConfigurationGraph) -> None:
-    """Insert ``graph`` into the LRU, evicting the oldest beyond the cap."""
-    _GRAPH_CACHE[key] = graph
-    _GRAPH_CACHE.move_to_end(key)
-    while len(_GRAPH_CACHE) > GRAPH_CACHE_SIZE:
-        _GRAPH_CACHE.popitem(last=False)
-
-
-def seed_configuration_graph(
-    protocol: PopulationProtocol,
-    population: Population,
-    initial: Iterable[Configuration],
-    graph: ConfigurationGraph,
-) -> None:
-    """Inject a pre-explored graph into the process-wide cache.
-
-    The ``seed_*`` injection idiom from :mod:`repro.engine.fast`: a
-    worker that received a graph out of band can make the next
-    :func:`explore` call with the same protocol content, population and
-    roots return it without re-enumerating.  No-op when the protocol is
-    not fingerprintable (those explorations are never cached).
-    """
-    key = _graph_key(protocol, population, list(initial))
-    if key is not None:
-        _remember_graph(key, graph)
 
 
 def explore(
@@ -162,7 +133,6 @@ def explore(
     if key is not None:
         cached = _GRAPH_CACHE.get(key)
         if cached is not None:
-            _GRAPH_CACHE.move_to_end(key)
             if len(cached.nodes) > max_nodes:
                 raise VerificationError(
                     f"configuration graph exceeded {max_nodes} nodes; "
@@ -195,7 +165,7 @@ def explore(
                 graph.nodes.add(edge.target)
                 queue.append(edge.target)
     if key is not None:
-        _remember_graph(key, graph)
+        _GRAPH_CACHE[key] = graph
     return graph
 
 

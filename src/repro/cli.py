@@ -19,6 +19,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from repro.core.registry import protocol_for
@@ -37,9 +38,32 @@ from repro.engine.protocol import PopulationProtocol
 from repro.engine.simulator import abbreviate_states
 from repro.engine.fast import BACKENDS, make_simulator
 from repro.engine.trace import Trace
-from repro.errors import InfeasibleSpecError, ProtocolError, SchedulerError
+from repro.errors import (
+    InfeasibleSpecError,
+    ProtocolError,
+    SchedulerError,
+    SimulationError,
+)
 from repro.schedulers.random_pair import RandomPairScheduler
 from repro.schedulers.round_robin import RoundRobinScheduler
+
+#: The commands that run their module's own argparse ``main(argv)``, in
+#: ``repro --help`` order: command -> module, imported on dispatch only.
+_DELEGATED: dict[str, str] = {
+    "table1": "repro.experiments.table1",
+    "convergence": "repro.experiments.convergence",
+    "recovery": "repro.experiments.recovery",
+    "ablation": "repro.experiments.ablation",
+    "lower-bounds": "repro.experiments.lower_bounds",
+    "scaling": "repro.experiments.scaling",
+    "time-study": "repro.experiments.time_study",
+    "tradeoffs": "repro.experiments.tradeoffs",
+    "report": "repro.experiments.full_report",
+    "exact-times": "repro.experiments.exact_times",
+    "bench": "repro.experiments.bench",
+    "lint": "repro.lint.cli",
+    "check": "repro.analysis.check",
+}
 
 #: The four model flags of ``show``, ``simulate`` and ``check``, in
 #: ``ModelSpec`` field order: flag -> (choice -> value, default).
@@ -159,14 +183,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         initial = Configuration.from_states(population, mobiles, leader)
 
     trace = Trace(capacity=args.trace) if args.trace else None
-    simulator = make_simulator(
-        args.backend,
-        protocol,
-        population,
-        scheduler,
-        NamingProblem(),
-        leap_eps=args.leap_eps,
-    )
+    try:
+        simulator = make_simulator(
+            args.backend,
+            protocol,
+            population,
+            scheduler,
+            NamingProblem(),
+            leap_eps=args.leap_eps,
+        )
+    except SimulationError as exc:
+        print(f"invalid --leap-eps: {exc}")
+        return 2
     result = simulator.run(
         initial, max_interactions=args.budget, trace=trace
     )
@@ -199,19 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", add_help=False)
-    sub.add_parser("convergence", add_help=False)
-    sub.add_parser("recovery", add_help=False)
-    sub.add_parser("ablation", add_help=False)
-    sub.add_parser("lower-bounds", add_help=False)
-    sub.add_parser("scaling", add_help=False)
-    sub.add_parser("time-study", add_help=False)
-    sub.add_parser("tradeoffs", add_help=False)
-    sub.add_parser("report", add_help=False)
-    sub.add_parser("exact-times", add_help=False)
-    sub.add_parser("bench", add_help=False)
-    sub.add_parser("lint", add_help=False)
-    sub.add_parser("check", add_help=False)
+    for command in _DELEGATED:
+        sub.add_parser(command, add_help=False)
 
     show = sub.add_parser(
         "show", help="print a protocol's transition rules by model"
@@ -273,82 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point: dispatch to experiments or the simulate/show
     commands; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    known_commands = {
-        "table1",
-        "convergence",
-        "recovery",
-        "ablation",
-        "lower-bounds",
-        "scaling",
-        "time-study",
-        "tradeoffs",
-        "report",
-        "exact-times",
-        "bench",
-        "lint",
-        "check",
-        "simulate",
-        "show",
-    }
-    if argv and argv[0] in known_commands and argv[0] not in (
-        "simulate",
-        "show",
-    ):
-        # Delegate to the experiment module's own argparse CLI.
-        command, rest = argv[0], argv[1:]
-        if command == "table1":
-            from repro.experiments.table1 import main as run
-
-            return run(rest)
-        if command == "convergence":
-            from repro.experiments.convergence import main as run
-
-            return run(rest)
-        if command == "recovery":
-            from repro.experiments.recovery import main as run
-
-            return run(rest)
-        if command == "ablation":
-            from repro.experiments.ablation import main as run
-
-            return run(rest)
-        if command == "scaling":
-            from repro.experiments.scaling import main as run
-
-            return run(rest)
-        if command == "time-study":
-            from repro.experiments.time_study import main as run
-
-            return run(rest)
-        if command == "tradeoffs":
-            from repro.experiments.tradeoffs import main as run
-
-            return run(rest)
-        if command == "report":
-            from repro.experiments.full_report import main as run
-
-            return run(rest)
-        if command == "exact-times":
-            from repro.experiments.exact_times import main as run
-
-            return run(rest)
-        if command == "bench":
-            from repro.experiments.bench import main as run
-
-            return run(rest)
-        if command == "lint":
-            from repro.lint.cli import main as run
-
-            return run(rest)
-        if command == "check":
-            from repro.analysis.check import main as run
-
-            return run(rest)
-        from repro.experiments.lower_bounds import main as run
-
-        return run(rest)
-    args = parser.parse_args(argv)
+    if argv and argv[0] in _DELEGATED:
+        module = importlib.import_module(_DELEGATED[argv[0]])
+        return module.main(argv[1:])
+    args = build_parser().parse_args(argv)
     if args.command == "show":
         return _cmd_show(args)
     return _cmd_simulate(args)

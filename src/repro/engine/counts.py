@@ -71,7 +71,7 @@ refuse, and :class:`CountsRung`, the one fallback ``run``.
 from __future__ import annotations
 
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import Iterable
 
 import numpy as _np
@@ -82,8 +82,10 @@ from repro.engine.fast import (
     BACKENDS,
     DEFAULT_COMPILE_LIMIT,
     LEADER_STATE_HELD,
+    LRU,
     NOT_COMPILED,
     OUTSIDE_SPACE,
+    TABLE_CACHE_SIZE,
     FastSimulator,
     TransitionTable,
     compile_table,
@@ -394,39 +396,19 @@ def materialize_counts_lazy(
     return CountsConfiguration(pairs, leader_state, leader_pos)
 
 
-#: Bound on the fingerprint-keyed plan LRU (mirrors the table cache).
-PLAN_CACHE_SIZE = 128
-
 #: Sampling plans keyed by the compiled table's content fingerprint, so
-#: equal protocol instances - and serving workers loading precompiled
-#: artifacts - share one plan instead of rebuilding per instance.
-_PLAN_CACHE: "OrderedDict[str, _CountsPlan]" = OrderedDict()
-
-
-def seed_counts_plan(plan: _CountsPlan) -> None:
-    """Inject a precompiled sampling plan into the process-wide cache.
-
-    The serving workers (:mod:`repro.serve.pool`) call this with plans
-    loaded from the content-addressed disk store; subsequent
-    :func:`_plan_for` calls on tables with the same fingerprint reuse
-    the injected plan without re-deriving the NumPy pair arrays.
-    """
-    _PLAN_CACHE[plan.fingerprint] = plan
-    _PLAN_CACHE.move_to_end(plan.fingerprint)
-    while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
-        _PLAN_CACHE.popitem(last=False)
+#: equal protocol instances share one plan instead of rebuilding per
+#: instance.
+_PLAN_CACHE: "LRU[str, _CountsPlan]" = LRU(TABLE_CACHE_SIZE)
 
 
 def _plan_for(
     protocol: PopulationProtocol, table: TransitionTable
 ) -> _CountsPlan:
     """Build (or fetch the cached) sampling plan for ``table``."""
-    cached = _PLAN_CACHE.get(table.fingerprint)
-    if cached is not None:
-        _PLAN_CACHE.move_to_end(table.fingerprint)
-        return cached
-    plan = _CountsPlan(table)
-    seed_counts_plan(plan)
+    plan = _PLAN_CACHE.get(table.fingerprint)
+    if plan is None:
+        plan = _PLAN_CACHE[table.fingerprint] = _CountsPlan(table)
     return plan
 
 

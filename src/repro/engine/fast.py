@@ -59,6 +59,7 @@ import warnings
 import weakref
 from collections import OrderedDict
 from itertools import compress
+from typing import TypeVar
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
@@ -126,7 +127,7 @@ class TransitionTable:
     and the non-null delta entries (see :func:`table_fingerprint`): two
     semantically equal protocol instances compile to tables with equal
     fingerprints, which keys every downstream compiled-artifact cache
-    (counts plans, leap delta matrices, the ``repro.serve`` store).
+    (counts plans, leap delta matrices).
     """
 
     __slots__ = (
@@ -370,7 +371,43 @@ def _fingerprint_parts(
     return h.hexdigest()
 
 
-#: Most compiled tables kept alive by the LRU below.
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+
+class LRU(OrderedDict[_K, _V]):
+    """A dict bounded to ``maxsize`` entries, least recently used out first.
+
+    ``get`` refreshes an entry's recency; assignment inserts or refreshes
+    an entry, then drops the oldest entries past ``maxsize`` and counts
+    them in ``evictions``.  Every process-wide artifact cache in the
+    package is one of these, so long-lived serving processes cannot
+    accumulate unboundedly many artifacts.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+        self.evictions = 0
+
+    def get(self, key, default=None):
+        """The value at ``key``, now the most recent, or ``default``."""
+        try:
+            self.move_to_end(key)
+        except KeyError:
+            return default
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self.maxsize:
+            self.popitem(last=False)
+            self.evictions += 1
+
+
+#: Bound of each engine artifact cache: tables here, plans in
+#: :mod:`repro.engine.counts` and :mod:`repro.engine.leap`.
 TABLE_CACHE_SIZE = 128
 
 #: Compiled tables.  Eager tables are keyed by content fingerprint: two
@@ -378,34 +415,12 @@ TABLE_CACHE_SIZE = 128
 #: function) share one table, where the previous identity-keyed
 #: WeakKeyDictionary recompiled per instance.  A lazy table is keyed by
 #: the identity of the one instance it compiles (see :func:`_fast_table`).
-#: Bounded LRU so long-lived serving processes cannot accumulate
-#: unboundedly many tables.
-_TABLE_CACHE: "OrderedDict[str, TransitionTable]" = OrderedDict()
+_TABLE_CACHE: "LRU[str, TransitionTable]" = LRU(TABLE_CACHE_SIZE)
 
 #: Weak instance -> fingerprint map: makes the second ``compile_table``
 #: call on the *same* instance O(1) (no re-enumeration just to rehash).
 _FINGERPRINTS: "weakref.WeakKeyDictionary[PopulationProtocol, str]"
 _FINGERPRINTS = weakref.WeakKeyDictionary()
-
-
-def _remember(key: str, table: TransitionTable) -> None:
-    """Insert ``table`` into the LRU, evicting the oldest beyond the cap."""
-    _TABLE_CACHE[key] = table
-    _TABLE_CACHE.move_to_end(key)
-    while len(_TABLE_CACHE) > TABLE_CACHE_SIZE:
-        _TABLE_CACHE.popitem(last=False)
-
-
-def seed_compiled_table(table: TransitionTable) -> None:
-    """Inject a precompiled table into the process-wide cache.
-
-    Used by serving workers (:mod:`repro.serve.pool`) that load compiled
-    tables from the content-addressed disk store instead of recompiling:
-    after seeding, any ``compile_table`` call on a protocol with the same
-    fingerprint returns the injected table without enumerating
-    transitions into a fresh object.
-    """
-    _remember(table.fingerprint, table)
 
 
 def table_fingerprint(
@@ -461,9 +476,7 @@ def compile_table(
 
     The cache is keyed by content fingerprint, not object identity: two
     equal protocol instances (same states, same transitions) share one
-    compiled table, and tables injected via :func:`seed_compiled_table`
-    (e.g. loaded from the ``repro.serve`` content-addressed store) are
-    found without rebuilding.
+    compiled table.
     """
     try:
         known_fp = _FINGERPRINTS.get(protocol)
@@ -476,7 +489,6 @@ def compile_table(
             # table's states are its mobile and leader spaces together.
             if cached.n_states > compile_limit:
                 return None
-            _TABLE_CACHE.move_to_end(known_fp)
             return cached
     try:
         mobile = frozenset(protocol.mobile_state_space())
@@ -497,10 +509,9 @@ def compile_table(
     fingerprint = _fingerprint_parts(states, n_mobile, delta)
     table = _TABLE_CACHE.get(fingerprint)
     if table is None:
-        table = TransitionTable.from_parts(
+        table = _TABLE_CACHE[fingerprint] = TransitionTable.from_parts(
             states, n_mobile, delta, fingerprint
         )
-    _remember(fingerprint, table)
     try:
         _FINGERPRINTS[protocol] = fingerprint
     except TypeError:
@@ -536,7 +547,7 @@ def _fast_table(
             table = LazyTransitionTable(protocol, mobile)
         except Exception:
             return None
-    _remember(key, table)
+        _TABLE_CACHE[key] = table
     return table
 
 

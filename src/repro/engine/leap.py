@@ -64,7 +64,6 @@ ladder ``counts -> fast -> reference``) with a
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -77,7 +76,12 @@ from repro.engine.counts import (
     CountsRung,
     materialize_counts_lazy,
 )
-from repro.engine.fast import BACKENDS, DEFAULT_COMPILE_LIMIT
+from repro.engine.fast import (
+    BACKENDS,
+    DEFAULT_COMPILE_LIMIT,
+    LRU,
+    TABLE_CACHE_SIZE,
+)
 from repro.engine.population import Population
 from repro.engine.problems import Problem
 from repro.engine.protocol import PopulationProtocol
@@ -165,26 +169,10 @@ class _LeapPlan:
         self.deltas_sq = deltas * deltas
 
 
-#: Bound on the fingerprint-keyed leap-plan LRU (mirrors the table cache).
-LEAP_CACHE_SIZE = 128
-
 #: Leap plans keyed by the compiled table's content fingerprint (like the
-#: table and counts-plan caches): equal protocol instances and serving
-#: workers loading precompiled artifacts share one delta matrix.
-_LEAP_CACHE: "OrderedDict[str, _LeapPlan]" = OrderedDict()
-
-
-def seed_leap_plan(leap: _LeapPlan) -> None:
-    """Inject precompiled delta matrices into the process-wide cache.
-
-    Called by serving workers (:mod:`repro.serve.pool`) with plans loaded
-    from the content-addressed disk store, so tau-leaping runs skip the
-    (pairs x states) matrix construction.
-    """
-    _LEAP_CACHE[leap.fingerprint] = leap
-    _LEAP_CACHE.move_to_end(leap.fingerprint)
-    while len(_LEAP_CACHE) > LEAP_CACHE_SIZE:
-        _LEAP_CACHE.popitem(last=False)
+#: table and counts-plan caches): equal protocol instances share one
+#: delta matrix.
+_LEAP_CACHE: "LRU[str, _LeapPlan]" = LRU(TABLE_CACHE_SIZE)
 
 
 def check_leap_knobs(leap_eps: float, min_tau: int) -> None:
@@ -199,12 +187,9 @@ def check_leap_knobs(leap_eps: float, min_tau: int) -> None:
 
 def _leap_plan_for(protocol: PopulationProtocol, plan) -> _LeapPlan:
     """Build (or fetch the cached) delta matrices for ``plan``'s table."""
-    cached = _LEAP_CACHE.get(plan.fingerprint)
-    if cached is not None:
-        _LEAP_CACHE.move_to_end(plan.fingerprint)
-        return cached
-    leap = _LeapPlan(plan)
-    seed_leap_plan(leap)
+    leap = _LEAP_CACHE.get(plan.fingerprint)
+    if leap is None:
+        leap = _LEAP_CACHE[plan.fingerprint] = _LeapPlan(plan)
     return leap
 
 

@@ -2,16 +2,18 @@
 
 Every direct :func:`repro.engine.ensemble.run_ensemble` call pays cold
 start: a fresh :class:`~concurrent.futures.ProcessPoolExecutor`, a full
-protocol pickle per task, and a per-process recompilation of the interned
-transition tables and sampling plans.  This package removes all of it for
-serving workloads:
+protocol pickle per task, and a recompilation of the interned transition
+tables and sampling plans in every worker.  This package pays them once
+per pool instead of once per call: one executor, one published pickle
+per protocol, and one compile per protocol in each worker, which keeps
+it for the pool's life:
 
 * :mod:`repro.serve.cache` - :class:`ArtifactCache`, a content-addressed
-  store (disk-backed, in-memory LRU on top) for compiled transition
-  tables, precompiled delta matrices, lint reports and memoized results,
-  shared across protocol *instances* and worker processes;
+  store (disk-backed, in-memory LRU on top) for published protocols,
+  lint reports and memoized results, shared across protocol *instances*
+  and worker processes;
 * :mod:`repro.serve.spec` - canonical spec hashing:
-  :func:`protocol_fingerprint` keys compiled artifacts,
+  :func:`protocol_fingerprint` keys published protocols,
   :func:`job_key` keys memoized results on
   (spec hash, seeds, budget, backend, sanitize);
 * :mod:`repro.serve.memo` - :class:`ResultMemo`, bit-identical replay of

@@ -20,9 +20,10 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.engine.fast import LRU
 
 #: Default number of artifacts held in the in-memory LRU layer.
 DEFAULT_MEMORY_ITEMS = 128
@@ -82,7 +83,7 @@ class ArtifactCache:
         self.memory_items = max(1, memory_items)
         self.disk_bytes = disk_bytes
         self.stats = CacheStats()
-        self._mem: OrderedDict[tuple[str, str], object] = OrderedDict()
+        self._mem: LRU[tuple[str, str], object] = LRU(self.memory_items)
         self._lock = threading.Lock()
         self._tmp_counter = 0
 
@@ -113,9 +114,8 @@ class ArtifactCache:
         mem_key = (kind, key)
         with self._lock:
             if mem_key in self._mem:
-                self._mem.move_to_end(mem_key)
                 self.stats.memory_hits += 1
-                return self._mem[mem_key]
+                return self._mem.get(mem_key)
         path = self._path(kind, key)
         try:
             with open(path, "rb") as fh:
@@ -136,7 +136,8 @@ class ArtifactCache:
             return None
         with self._lock:
             self.stats.disk_hits += 1
-            self._remember(mem_key, value)
+            self._mem[mem_key] = value
+            self.stats.memory_evictions = self._mem.evictions
         return value
 
     def put(self, kind: str, key: str, value: object) -> None:
@@ -157,7 +158,8 @@ class ArtifactCache:
                 pass
             raise
         with self._lock:
-            self._remember((kind, key), value)
+            self._mem[(kind, key)] = value
+            self.stats.memory_evictions = self._mem.evictions
         self._enforce_disk_budget()
 
     def contains(self, kind: str, key: str) -> bool:
@@ -170,14 +172,6 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
-
-    def _remember(self, mem_key: tuple[str, str], value: object) -> None:
-        """Insert into the memory LRU; caller holds the lock."""
-        self._mem[mem_key] = value
-        self._mem.move_to_end(mem_key)
-        while len(self._mem) > self.memory_items:
-            self._mem.popitem(last=False)
-            self.stats.memory_evictions += 1
 
     def _enforce_disk_budget(self) -> None:
         """Evict oldest disk artifacts until the tree fits the cap."""

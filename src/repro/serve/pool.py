@@ -4,15 +4,12 @@
 :class:`~concurrent.futures.ProcessPoolExecutor` per call and pickles
 the whole protocol into every task.  :class:`ServePool` keeps one
 executor alive across calls and ships protocols **by content hash**
-instead: ``submit`` publishes the pickled protocol and its compiled
-artifacts (transition table, counts plan, leap delta matrices) into the
-pool's :class:`~repro.serve.cache.ArtifactCache` once per fingerprint,
-and each worker resolves the hash against its process-local registry or
-the shared disk layer, seeding the engine caches
-(:func:`repro.engine.fast.seed_compiled_table`,
-:func:`repro.engine.counts.seed_counts_plan`,
-:func:`repro.engine.leap.seed_leap_plan`) so no worker ever recompiles
-a protocol another process already compiled.
+instead: ``submit`` publishes the pickled protocol into the pool's
+:class:`~repro.serve.cache.ArtifactCache` once per fingerprint, and each
+worker resolves the hash against its process-local registry or the
+shared disk layer.  A worker compiles a protocol's transition table and
+sampling plans on first use and keeps them in its engine caches for the
+pool's life.
 
 Jobs are chunked exactly as ``run_ensemble`` chunks them (one chunk per
 worker for the lockstep engines, four per worker otherwise) and every
@@ -64,9 +61,8 @@ from repro.serve.cache import DEFAULT_MEMORY_ITEMS, ArtifactCache
 from repro.serve.memo import ResultMemo, assemble
 from repro.serve.spec import JobSpec, job_key, protocol_fingerprint
 
-#: Artifact kinds used by the pool.
+#: Artifact kind of the published protocols.
 PROTOCOL_KIND = "protocol"
-COMPILED_KIND = "compiled"
 
 #: Smallest lockstep batch worth splitting off as its own worker chunk.
 #: ``run_ensemble`` splits a single ensemble into one chunk per worker
@@ -111,19 +107,6 @@ def _worker_ready() -> bool:
     return True
 
 
-def _seed_compiled(bundle: tuple) -> None:
-    """Seed the engine caches from a published ``(table, plan, leap)``."""
-    from repro.engine import counts, fast, leap
-
-    table, counts_plan, leap_plan = bundle
-    if table is not None:
-        fast.seed_compiled_table(table)
-    if counts_plan is not None:
-        counts.seed_counts_plan(counts_plan)
-    if leap_plan is not None:
-        leap.seed_leap_plan(leap_plan)
-
-
 def _resolve_protocol(
     fingerprint: str | None, payload: PopulationProtocol | None
 ) -> PopulationProtocol:
@@ -151,9 +134,6 @@ def _resolve_protocol(
             "cache (was it published before submission?)"
         )
     protocol = loaded  # type: ignore[assignment]
-    bundle = _WORKER_CACHE.get(COMPILED_KIND, fingerprint)
-    if isinstance(bundle, tuple) and len(bundle) == 3:
-        _seed_compiled(bundle)
     _WORKER_PROTOCOLS[fingerprint] = protocol
     return protocol
 
@@ -514,26 +494,12 @@ class ServePool:
             executor.shutdown(wait=False)
 
     def _publish(self, fingerprint: str, protocol: PopulationProtocol):
-        """Publish the protocol + compiled artifacts, once per hash."""
+        """Publish the protocol's pickle, once per hash."""
         with self._lock:
             if fingerprint in self._published:
                 return
         if not self.cache.contains(PROTOCOL_KIND, fingerprint):
             self.cache.put(PROTOCOL_KIND, fingerprint, protocol)
-        if not self.cache.contains(COMPILED_KIND, fingerprint):
-            from repro.engine.counts import _plan_for
-            from repro.engine.fast import compile_table
-            from repro.engine.leap import _leap_plan_for
-
-            table = compile_table(protocol)
-            if table is not None:
-                counts_plan = _plan_for(protocol, table)
-                leap_plan = _leap_plan_for(protocol, counts_plan)
-                self.cache.put(
-                    COMPILED_KIND,
-                    fingerprint,
-                    (table, counts_plan, leap_plan),
-                )
         with self._lock:
             self._published.add(fingerprint)
 

@@ -3,8 +3,8 @@
 Two keys matter.  :func:`protocol_fingerprint` identifies a protocol by
 *content* (canonical state ordering + non-null transition entries, via
 :func:`repro.engine.fast.table_fingerprint`), so equal protocol
-instances - across processes, across sessions - share compiled
-artifacts.  :func:`job_key` extends it to a full ensemble request:
+instances - across processes, across sessions - share one published
+protocol.  :func:`job_key` extends it to a full ensemble request:
 (protocol fingerprint, population, factories, problem, seeds, budget,
 resolved backend, sanitize, check interval), which keys result
 memoization with bit-identical replay.

@@ -7,7 +7,6 @@ from repro.analysis.reachability import (
     arbitrary_initial_configurations,
     explore,
     one_step_edges,
-    seed_configuration_graph,
     uniform_initial_configurations,
 )
 from repro.core.asymmetric import AsymmetricNamingProtocol
@@ -187,12 +186,3 @@ class TestGraphCache:
         graph = explore(protocol, pop, roots)
         with pytest.raises(VerificationError, match="exceeded"):
             explore(protocol, pop, roots, max_nodes=len(graph.nodes) - 1)
-
-    def test_seeded_graph_is_returned_verbatim(self):
-        protocol = SymmetricGlobalNamingProtocol(3)
-        pop = Population(3)
-        roots = list(arbitrary_initial_configurations(protocol, pop))
-        graph = explore(protocol, pop, roots)
-        _GRAPH_CACHE.clear()
-        seed_configuration_graph(protocol, pop, roots, graph)
-        assert explore(protocol, pop, roots) is graph

@@ -28,6 +28,8 @@ from repro.engine.counts import CountSimulator
 from repro.engine.ensemble import run_ensemble
 from repro.engine.fast import (
     BACKENDS,
+    LRU,
+    TABLE_CACHE_SIZE,
     FastSimulator,
     LazyTransitionTable,
     compile_table,
@@ -51,6 +53,7 @@ from repro.schedulers.round_robin import (
     InterleavedRoundRobinScheduler,
     RoundRobinScheduler,
 )
+from tests.oracles import OracleLRU
 
 
 def _initial_for(protocol, population, seed, uniform=False):
@@ -964,16 +967,84 @@ class TestContentAddressedTableCache:
         assert clone.states == table.states
         assert clone.delta == table.delta
 
-    def test_seeded_table_is_returned_without_recompiling(self):
-        import pickle
+    def test_equal_instances_share_one_plan_of_each_kind(self):
+        from repro.engine.leap import LeapSimulator
 
-        from repro.engine.fast import seed_compiled_table
+        population = Population(6)
+        first, second = (
+            LeapSimulator(
+                AsymmetricNamingProtocol(5),
+                population,
+                RandomPairScheduler(population, seed=0),
+                NamingProblem(),
+            )
+            for _ in range(2)
+        )
+        assert second._plan is first._plan
+        assert second._leap is first._leap
 
-        table = compile_table(AsymmetricNamingProtocol(7))
-        clone = pickle.loads(pickle.dumps(table))
-        seed_compiled_table(clone)
-        # A *new* equal instance now resolves to the injected clone.
-        assert compile_table(AsymmetricNamingProtocol(7)) is clone
+
+def _distinct_table_protocol(i: int) -> TableProtocol:
+    """The ``i``-th of 256 four-state tables, each with its own content."""
+    a, b, c, d = ((i >> shift) % 4 for shift in (0, 2, 4, 6))
+    return TableProtocol({(0, 1): (a, b), (1, 0): (c, d)}, range(4))
+
+
+class TestOneLRU:
+    """Every artifact cache is one bounded :class:`LRU`."""
+
+    def test_each_cache_is_an_lru_with_its_bound(self, tmp_path):
+        from repro.analysis import reachability
+        from repro.engine import counts, fast, leap
+        from repro.serve.cache import ArtifactCache
+
+        for cache, bound in (
+            (fast._TABLE_CACHE, 128),
+            (counts._PLAN_CACHE, 128),
+            (leap._LEAP_CACHE, 128),
+            (reachability._GRAPH_CACHE, 32),
+            (ArtifactCache(tmp_path, memory_items=7)._mem, 7),
+        ):
+            assert isinstance(cache, LRU)
+            assert cache.maxsize == bound
+
+    def test_table_cache_drops_the_least_recently_used(self):
+        from repro.engine import fast
+
+        protocols = [
+            _distinct_table_protocol(i) for i in range(TABLE_CACHE_SIZE + 2)
+        ]
+        fast._TABLE_CACHE.clear()
+        tables = [compile_table(protocol) for protocol in protocols]
+        assert len({table.fingerprint for table in tables}) == len(tables)
+        assert len(fast._TABLE_CACHE) == TABLE_CACHE_SIZE
+        assert list(fast._TABLE_CACHE.values()) == tables[2:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxsize=st.integers(1, 5),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("get"), st.integers(0, 7)),
+                st.tuples(st.just("set"), st.integers(0, 7), st.integers()),
+                st.tuples(st.just("clear")),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_the_ordered_dict_oracle(self, maxsize, ops):
+        lru, oracle = LRU(maxsize), OracleLRU(maxsize)
+        for op in ops:
+            if op[0] == "get":
+                assert lru.get(op[1]) == oracle.get(op[1])
+            elif op[0] == "set":
+                lru[op[1]] = op[2]
+                oracle.put(op[1], op[2])
+            else:
+                lru.clear()
+                oracle.clear()
+            assert list(lru.items()) == list(oracle.entries.items())
+            assert lru.evictions == oracle.evictions
 
 
 class TestCompileLimitOnCacheHit:

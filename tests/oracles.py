@@ -7,15 +7,17 @@ unordered pair), the symbolic checker's per-successor frontier loop
 with its root, adjacency and duplicate-name helpers, and the
 homonym-preserving adversary that scores every candidate meeting on a
 whole new configuration, the eager expansion of a counts vector into a
-per-agent configuration, and the lockstep exact-SSA kernel as a scalar
-loop over one row.  The differential tests hold the library to exactly
-their answers: same diagnostics, same witness order, same node
+per-agent configuration, the lockstep exact-SSA kernel as a scalar
+loop over one row, and the ``OrderedDict`` LRU each artifact cache
+once carried by hand.  The differential tests hold the library to
+exactly their answers: same diagnostics, same witness order, same node
 numbering, same scheduled pairs, equal final configurations, equal
-counts and positions.
+counts and positions, equal cache contents in equal order.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -304,6 +306,40 @@ def oracle_duplicate_mask(system: CountsSystem, rows: np.ndarray) -> np.ndarray:
     """Per row: two mobile agents share a projected name (matmul)."""
     name_counts = rows[:, : system.M] @ system.name_matrix
     return (name_counts >= 2).any(axis=1)
+
+
+# ----------------------------------------------------------------------
+# Artifact caches: the hand-rolled OrderedDict LRU
+# ----------------------------------------------------------------------
+
+
+class OracleLRU:
+    """The LRU idiom each artifact cache carried before :class:`LRU`.
+
+    ``get`` refreshes a found entry; ``put`` inserts, refreshes and pops
+    the oldest entries past ``maxsize``, counting each pop.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.entries: OrderedDict = OrderedDict()
+        self.evictions = 0
+
+    def get(self, key):
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        self.entries[key] = value
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+
+    def clear(self) -> None:
+        self.entries.clear()
 
 
 # ----------------------------------------------------------------------

@@ -101,6 +101,30 @@ class TestBitIdentity:
         assert final.fraction == 1.0
 
 
+class TestProtocolsOnly:
+    """The pool publishes protocols, not compiled artifacts: a worker
+    compiles each protocol on first use."""
+
+    def test_cache_holds_protocols_and_results_only(self, tmp_path):
+        with ServePool(max_workers=1, cache_dir=tmp_path) as pool:
+            for backend in ("batch", "fast"):
+                spec = make_spec(backend=backend, seeds=(90, 91))
+                pool.submit(spec).result(timeout=120)
+        kinds = {
+            path.relative_to(tmp_path).parts[0]
+            for path in tmp_path.rglob("*.pkl")
+        }
+        assert kinds == {"protocol", "results"}
+        spec = make_spec(seeds=(92, 93, 94))
+        with ServePool(max_workers=1, cache_dir=tmp_path) as again:
+            handle = again.submit(spec)
+            served = handle.result(timeout=120)
+        assert not handle.from_memo
+        reference = fresh_ensemble(spec)
+        assert served.results == reference.results
+        assert served.seeds == reference.seeds
+
+
 class TestBackpressure:
     def test_nonblocking_submit_raises_when_saturated(self):
         with ServePool(max_workers=1, max_pending=1) as pool:

@@ -452,3 +452,29 @@ class TestInvalidSizes:
         )
         assert code == 0
         assert "converged" in capsys.readouterr().out
+
+
+class TestInvalidLeapEps:
+    """A ``--leap-eps`` the backend refuses is a usage error: one line,
+    exit 2, nothing on stderr."""
+
+    @pytest.mark.parametrize(
+        ("backend", "eps", "reason"),
+        [
+            ("counts", "0.05", "does not accept leap_eps"),
+            ("leap", "2", "leap_eps must be in (0, 1), got 2.0"),
+        ],
+    )
+    def test_refused_leap_eps(self, capsys, backend, eps, reason):
+        argv = ["simulate", "--backend", backend, "--leap-eps", eps]
+        assert exit_status(argv) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("invalid --leap-eps: ")
+        assert reason in out
+        assert out.count("\n") == 1
+        assert err == ""
+
+    def test_valid_leap_eps_still_runs(self, capsys):
+        argv = ["simulate", "--backend", "leap", "--leap-eps", "0.05"]
+        assert exit_status(argv) == 0
+        assert "converged" in capsys.readouterr().out
